@@ -116,20 +116,13 @@ class BkSearch {
 BronKerboschStats run_degeneracy(const graph::GraphView& g,
                                  const CliqueCallback& sink,
                                  const SizeRange& range) {
-  const std::size_t n = g.order();
-  detail::BkPivotSearch search(g, sink, range);
   const graph::DegeneracyResult deg = graph::degeneracy_order(g);
-  DynamicBitset later(n);  // vertices not yet used as a root
-  later.set_all();
-  DynamicBitset cand(n);
-  DynamicBitset not_set(n);
-  for (const VertexId v : deg.order) {
-    later.reset(v);
-    cand.assign_and(g.neighbors(v), later);
-    not_set.assign(g.neighbors(v));
-    not_set.and_not(later);
-    search.run_root(v, cand, not_set);
+  std::vector<std::size_t> position(g.order());
+  for (std::size_t i = 0; i < deg.order.size(); ++i) {
+    position[deg.order[i]] = i;
   }
+  detail::BkPivotSearch search(g, sink, range, deg.degeneracy);
+  for (const VertexId v : deg.order) search.run_root(v, position);
   return search.stats();
 }
 

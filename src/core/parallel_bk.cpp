@@ -5,7 +5,6 @@
 #include <mutex>
 #include <utility>
 
-#include "bitset/dynamic_bitset.h"
 #include "core/detail/bk_kernel.h"
 #include "graph/transforms.h"
 #include "obs/metrics.h"
@@ -16,7 +15,6 @@
 namespace gsb::core {
 namespace {
 
-using bits::DynamicBitset;
 using graph::VertexId;
 
 /// Per-worker enumeration state, built lazily on a worker's first root.
@@ -26,17 +24,16 @@ struct BkWorker {
   std::vector<VertexId> buffer;  ///< flat size-prefixed clique records
   CliqueCallback local_sink;
   std::unique_ptr<detail::BkPivotSearch> search;
-  DynamicBitset cand;
-  DynamicBitset not_set;
   double busy_seconds = 0.0;
 
-  BkWorker(const graph::GraphView& g, const SizeRange& range)
-      : cand(g.order()), not_set(g.order()) {
+  BkWorker(const graph::GraphView& g, const SizeRange& range,
+           std::size_t degeneracy) {
     local_sink = [this](std::span<const VertexId> clique) {
       buffer.push_back(static_cast<VertexId>(clique.size()));
       buffer.insert(buffer.end(), clique.begin(), clique.end());
     };
-    search = std::make_unique<detail::BkPivotSearch>(g, local_sink, range);
+    search = std::make_unique<detail::BkPivotSearch>(g, local_sink, range,
+                                                     degeneracy);
   }
 };
 
@@ -123,7 +120,8 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
   std::vector<std::unique_ptr<BkWorker>> workers(jobs.workers());
   auto worker_for = [&](std::size_t wid) -> BkWorker& {
     if (!workers[wid]) {
-      workers[wid] = std::make_unique<BkWorker>(g, options.range);
+      workers[wid] =
+          std::make_unique<BkWorker>(g, options.range, deg.degeneracy);
     }
     return *workers[wid];
   };
@@ -143,17 +141,7 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
       const double cpu_begin = util::thread_cpu_seconds();
       BkWorker& w = worker_for(wid);
       w.buffer.clear();
-      const VertexId v = deg.order[i];
-      w.cand.clear_all();
-      w.not_set.clear_all();
-      g.neighbors(v).for_each([&](std::size_t u) {
-        if (pos[u] > i) {
-          w.cand.set(u);
-        } else {
-          w.not_set.set(u);
-        }
-      });
-      w.search->run_root(v, w.cand, w.not_set);
+      w.search->run_root(deg.order[i], pos);
       if (options.deterministic) {
         const std::size_t bytes = w.buffer.size() * sizeof(VertexId);
         slots[i] = std::move(w.buffer);

@@ -131,6 +131,15 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
   return finish(std::move(response));
 }
 
+std::string execute_traced_line(const char* transport, QueryEngine& engine,
+                                ResultCache* cache, const std::string& line,
+                                std::uint64_t& cache_hits,
+                                std::uint64_t& cache_misses) {
+  obs::TraceScope trace(obs::Tracer::global(), transport, line);
+  obs::TimelineSpan span(obs::TimelineEventKind::kRequest, line);
+  return execute_cached_line(engine, cache, line, cache_hits, cache_misses);
+}
+
 namespace {
 
 /// This call's activity out of a borrowed engine's cumulative counters.
@@ -186,9 +195,9 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
     if (engine == nullptr) engine = &local.emplace(entry);
     const QueryEngineStats before = engine->stats();
     for (std::size_t i = 0; i < lines.size(); ++i) {
-      result.responses[i] =
-          execute_cached_line(*engine, options.cache, lines[i],
-                              result.cache_hits, result.cache_misses);
+      result.responses[i] = execute_traced_line(
+          options.transport, *engine, options.cache, lines[i],
+          result.cache_hits, result.cache_misses);
     }
     result.engine = stats_since(engine->stats(), before);
     return result;
@@ -230,8 +239,9 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
   for (std::size_t i = 0; i < lines.size(); ++i) {
     jobs.add([&, i](std::size_t wid) {
       Worker& w = engine_for(wid);
-      result.responses[i] = execute_cached_line(*w.engine, options.cache,
-                                                lines[i], w.hits, w.misses);
+      result.responses[i] =
+          execute_traced_line(options.transport, *w.engine, options.cache,
+                              lines[i], w.hits, w.misses);
     });
   }
   jobs.run();

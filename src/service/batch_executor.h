@@ -35,6 +35,9 @@ struct BatchOptions {
   /// entries than `threads` clamps the thread count; BatchResult.engine
   /// still reports this call's activity only.
   std::vector<QueryEngine>* engines = nullptr;
+  /// Transport tag of each line's request spans (execute_traced_line);
+  /// the serve loop's groups pass their transport's.
+  const char* transport = "batch";
 };
 
 struct BatchResult {
@@ -58,6 +61,14 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
 /// under (entry epoch, canonical query); `error:` responses never are.
 std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
                                 const std::string& line,
+                                std::uint64_t& cache_hits,
+                                std::uint64_t& cache_misses);
+
+/// execute_cached_line inside one request's spans: an obs::TraceScope
+/// tagged with \p transport and a kRequest timeline span labelled with
+/// the line.  Both are inert unless the tracer / timeline is enabled.
+std::string execute_traced_line(const char* transport, QueryEngine& engine,
+                                ResultCache* cache, const std::string& line,
                                 std::uint64_t& cache_hits,
                                 std::uint64_t& cache_misses);
 

@@ -228,15 +228,9 @@ ServeStats serve_stream(std::shared_ptr<const GraphEntry> entry,
             out << kDeadlineError << '\n';
             continue;
           }
-          std::string response;
-          {
-            obs::TraceScope trace(obs::Tracer::global(), "stream", group[i]);
-            obs::TimelineSpan span(obs::TimelineEventKind::kRequest,
-                                   group[i]);
-            response = execute_cached_line(session_engine, options.cache,
-                                           group[i], session_hits,
-                                           session_misses);
-          }
+          std::string response =
+              execute_traced_line("stream", session_engine, options.cache,
+                                  group[i], session_hits, session_misses);
           if (past_deadline()) {
             state.timeouts.fetch_add(1, std::memory_order_relaxed);
             request_timeout_counter().inc();
@@ -258,6 +252,7 @@ ServeStats serve_stream(std::shared_ptr<const GraphEntry> entry,
       batch.cache = options.cache;
       batch.pool = pool ? &*pool : nullptr;
       batch.engines = group_engines.empty() ? nullptr : &group_engines;
+      batch.transport = "stream";
       const auto result = execute_batch(entry, slice, batch);
       for (const std::string& response : result.responses) {
         out << response << '\n';
@@ -295,6 +290,10 @@ ServeStats serve_stream(std::shared_ptr<const GraphEntry> entry,
         // Control-shaped but unsupported here ("reload" without TCP):
         // left in the pending range for the typed engine error.
       }
+      // Under a deadline each query runs as soon as the scan reaches it:
+      // classifying a long group first would spend the group's budget
+      // before its first request executes.
+      if (options.request_timeout_ms != 0) flush_queries(i + 1);
     }
     flush_queries(group.size());
     out.flush();

@@ -2,7 +2,10 @@
 // its work-stealing parallel driver: BK over a mapped .gsbg equals BK over
 // the in-memory Graph equals the Clique Enumerator's maximal set on 20
 // seeded graphs, across threads 1/2/4/8; deterministic-merge emission is
-// byte-identical at every thread count; the reorder window stays bounded.
+// byte-identical at every thread count; the reorder window stays bounded;
+// the search tree and emission sequence match constants recorded from the
+// global-width search on roots whose neighborhoods straddle word
+// boundaries.
 
 #include <gtest/gtest.h>
 
@@ -241,6 +244,174 @@ TEST(ParallelBk, TinyReorderWindowThrottlesAndStaysCorrect) {
   // Backpressure holds pending output to the window plus the outputs of
   // roots already in flight when the cap was hit — far under the total.
   EXPECT_LT(stats.peak_pending_bytes, total_flat_bytes / 4);
+}
+
+// -- search-tree pin ---------------------------------------------------------
+
+/// A graph whose roots straddle word boundaries: for each width s, a root
+/// r with exactly s neighbors — 10 of them in a dense 30-vertex core that
+/// the degeneracy order removes after r (CANDIDATES), the rest low-degree
+/// fringe vertices removed before it (NOT), each tied to two of r's core
+/// neighbors and sparsely to each other — plus the hub of a 150-vertex
+/// fan (a path whose vertices all join the hub), removed after its whole
+/// neighborhood, so its CANDIDATES are empty.  Vertex ids are
+/// shuffled so CANDIDATES and NOT interleave in id order.
+struct PinGraph {
+  graph::Graph graph;
+  std::vector<graph::VertexId> roots;  ///< r per width, then the hub
+};
+
+PinGraph wide_root_graph(const std::vector<std::size_t>& widths) {
+  util::Rng rng(2005);
+  std::vector<std::pair<graph::VertexId, graph::VertexId>> edges;
+  std::vector<graph::VertexId> roots;
+  graph::VertexId next = 0;
+  constexpr std::size_t kCore = 30;
+  constexpr std::size_t kRootCore = 10;
+  for (const std::size_t width : widths) {
+    const graph::VertexId root = next++;
+    const graph::VertexId core = next;
+    next += kCore;
+    const graph::VertexId fringe = next;
+    const std::size_t fringe_size = width - kRootCore;
+    next += static_cast<graph::VertexId>(fringe_size);
+    roots.push_back(root);
+    for (std::size_t a = 0; a < kCore; ++a) {
+      for (std::size_t b = a + 1; b < kCore; ++b) {
+        if (rng.chance(0.9)) edges.emplace_back(core + a, core + b);
+      }
+    }
+    for (std::size_t c = 0; c < kRootCore; ++c) edges.emplace_back(root, core + c);
+    for (std::size_t f = 0; f < fringe_size; ++f) {
+      const auto v = static_cast<graph::VertexId>(fringe + f);
+      edges.emplace_back(root, v);
+      const auto c0 = static_cast<graph::VertexId>(
+          rng.uniform_int(0, kRootCore - 1));
+      const auto c1 = static_cast<graph::VertexId>(
+          (c0 + rng.uniform_int(1, kRootCore - 1)) % kRootCore);
+      edges.emplace_back(v, core + c0);
+      edges.emplace_back(v, core + c1);
+      for (std::size_t h = f + 1; h < fringe_size; ++h) {
+        if (rng.chance(0.05)) {
+          edges.emplace_back(v, static_cast<graph::VertexId>(fringe + h));
+        }
+      }
+    }
+  }
+  constexpr std::size_t kFan = 150;
+  const graph::VertexId hub = next++;
+  roots.push_back(hub);
+  for (std::size_t i = 0; i < kFan; ++i) {
+    edges.emplace_back(hub, next + i);
+    if (i + 1 < kFan) edges.emplace_back(next + i, next + i + 1);
+  }
+  next += kFan;
+
+  std::vector<graph::VertexId> relabel(next);
+  for (graph::VertexId v = 0; v < next; ++v) relabel[v] = v;
+  rng.shuffle(relabel);
+  // Id 0 for the hub: degree ties pop the most recently re-filed vertex,
+  // and a removal re-files its neighbors in id order, so the hub then
+  // outlasts its last fan neighbor.
+  std::swap(relabel[hub], *std::find(relabel.begin(), relabel.end(), 0u));
+  for (auto& [u, v] : edges) {
+    u = relabel[u];
+    v = relabel[v];
+  }
+  for (auto& root : roots) root = relabel[root];
+  return {graph::Graph::from_edges(next, edges), roots};
+}
+
+struct TreePin {
+  std::uint64_t emission_hash = 0;  ///< FNV-1a over the flat transcript
+  std::size_t emission_words = 0;
+  std::uint64_t tree_nodes = 0;
+  std::size_t max_depth = 0;
+  std::uint64_t maximal_cliques = 0;
+};
+
+std::uint64_t fnv1a(const std::vector<graph::VertexId>& flat) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const graph::VertexId v : flat) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+void expect_pinned_tree(const graph::GraphView& g, const TreePin& pin) {
+  std::vector<graph::VertexId> flat;
+  const auto record = [&](std::span<const graph::VertexId> clique) {
+    flat.push_back(static_cast<graph::VertexId>(clique.size()));
+    flat.insert(flat.end(), clique.begin(), clique.end());
+  };
+  const BronKerboschStats sequential = degeneracy_bk(g, record);
+  EXPECT_EQ(fnv1a(flat), pin.emission_hash);
+  EXPECT_EQ(flat.size(), pin.emission_words);
+  EXPECT_EQ(sequential.tree_nodes, pin.tree_nodes);
+  EXPECT_EQ(sequential.max_depth, pin.max_depth);
+  EXPECT_EQ(sequential.maximal_cliques, pin.maximal_cliques);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    flat.clear();
+    ParallelBkOptions options;
+    options.threads = threads;
+    const ParallelBkStats parallel = parallel_bk(g, record, options);
+    EXPECT_EQ(fnv1a(flat), pin.emission_hash);
+    EXPECT_EQ(flat.size(), pin.emission_words);
+    EXPECT_EQ(parallel.base.tree_nodes, pin.tree_nodes);
+    EXPECT_EQ(parallel.base.max_depth, pin.max_depth);
+    EXPECT_EQ(parallel.base.maximal_cliques, pin.maximal_cliques);
+  }
+}
+
+// The constants below were recorded with the global-width (n-bit) search
+// that preceded the root-local universe; the local search must reproduce
+// its tree node for node and its emission sequence byte for byte.
+TEST(BkTreePin, WordStraddlingRootsMatchRecordedTree) {
+  const PinGraph pin = wide_root_graph({63, 64, 65, 140});
+  const graph::GraphView g(pin.graph);
+  // The construction must produce the neighborhoods it is named for.
+  const graph::DegeneracyResult deg = graph::degeneracy_order(g);
+  std::vector<std::size_t> position(g.order());
+  for (std::size_t i = 0; i < deg.order.size(); ++i) position[deg.order[i]] = i;
+  const std::vector<std::size_t> widths = {63, 64, 65, 140, 150};
+  for (std::size_t k = 0; k < pin.roots.size(); ++k) {
+    const graph::VertexId root = pin.roots[k];
+    std::size_t later = 0;
+    g.neighbors(root).for_each([&](std::size_t u) {
+      if (position[u] > position[root]) ++later;
+    });
+    EXPECT_EQ(g.degree(root), widths[k]) << "root " << k;
+    if (k + 1 < pin.roots.size()) {
+      EXPECT_GT(later, 0u) << "root " << k;
+      EXPECT_LT(later, widths[k]) << "root " << k;
+    } else {
+      EXPECT_EQ(later, 0u) << "the hub must have empty CANDIDATES";
+    }
+  }
+  expect_pinned_tree(g, {13412286978558071241ull, 59971, 12930, 16, 5226});
+}
+
+TEST(BkTreePin, MappedModuleGraphMatchesRecordedTree) {
+  util::Rng rng(7919);
+  graph::ModuleGraphConfig config;
+  config.n = 2000;
+  config.num_modules = 80;
+  config.max_module_size = 24;
+  config.p_in = 0.9;
+  config.overlap = 0.3;
+  config.background_edges = 6000;
+  const auto mg = graph::planted_modules(config, rng);
+  const std::string path = write_temp_gsbg(mg.graph, 9000);
+  {
+    const auto mapped = storage::MappedGraph::open(path);
+    expect_pinned_tree(mapped.view(),
+                       {16285557874225924114ull, 29703, 11529, 16, 6999});
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -611,29 +611,37 @@ TEST(Serve, ProfileCapturesBoundedWindowOverStream) {
   const auto a = make_artifacts(24, 0.3, 61, "service_stream_profile");
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
-  std::istringstream in(
-      "profile\nprofile start\ndegree 1\ndegree 2\nprofile stop\n"
-      "profile bogus\nshutdown\n");
-  std::ostringstream out;
-  serve_stream(entry, in, out, {});
-  std::istringstream lines(out.str());
-  std::string status, started, d1, d2, stopped, bogus;
-  std::getline(lines, status);
-  std::getline(lines, started);
-  std::getline(lines, d1);
-  std::getline(lines, d2);
-  std::getline(lines, stopped);
-  std::getline(lines, bogus);
-  EXPECT_EQ(status, "ok profile: enabled=0 events=0 dropped=0");
-  EXPECT_EQ(started, "ok profile started");
-  ASSERT_TRUE(stopped.starts_with("ok profile {")) << stopped;
-  EXPECT_NE(stopped.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(stopped.find("\"cat\":\"request\""), std::string::npos);
-  EXPECT_NE(stopped.find("\"name\":\"degree 1\""), std::string::npos);
-  EXPECT_EQ(stopped.find('\n'), std::string::npos);  // one-line payload
-  EXPECT_TRUE(bogus.starts_with("error: unknown profile verb")) << bogus;
-  EXPECT_FALSE(obs::TimelineJournal::global().enabled());  // stop disables
-  obs::TimelineJournal::global().reset();
+  // threads 1 runs each query on the per-line path; threads 4 fans the
+  // two queries between the profile controls out as one batch.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::istringstream in(
+        "profile\nprofile start\ndegree 1\ndegree 2\nprofile stop\n"
+        "profile bogus\nshutdown\n");
+    std::ostringstream out;
+    ServeOptions options;
+    options.threads = threads;
+    serve_stream(entry, in, out, options);
+    std::istringstream lines(out.str());
+    std::string status, started, d1, d2, stopped, bogus;
+    std::getline(lines, status);
+    std::getline(lines, started);
+    std::getline(lines, d1);
+    std::getline(lines, d2);
+    std::getline(lines, stopped);
+    std::getline(lines, bogus);
+    EXPECT_EQ(status, "ok profile: enabled=0 events=0 dropped=0");
+    EXPECT_EQ(started, "ok profile started");
+    ASSERT_TRUE(stopped.starts_with("ok profile {")) << stopped;
+    EXPECT_NE(stopped.find("\"traceEvents\":["), std::string::npos);
+    EXPECT_NE(stopped.find("\"cat\":\"request\""), std::string::npos);
+    EXPECT_NE(stopped.find("\"name\":\"degree 1\""), std::string::npos);
+    EXPECT_NE(stopped.find("\"name\":\"degree 2\""), std::string::npos);
+    EXPECT_EQ(stopped.find('\n'), std::string::npos);  // one-line payload
+    EXPECT_TRUE(bogus.starts_with("error: unknown profile verb")) << bogus;
+    EXPECT_FALSE(obs::TimelineJournal::global().enabled());  // stop disables
+    obs::TimelineJournal::global().reset();
+  }
 }
 
 TEST(Serve, StreamSessionBytesAreIdenticalWithTimelineOnAndOff) {

@@ -8,7 +8,9 @@
 // tractable.  The same rise-peak-fall must appear here, measured both by
 // the paper's closed-form space expression
 //     M[k]*c + N[k]*((k-1)*c + ceil(n/8)) + N[k]*sizeof(ptr)
-// and by the actual container footprint.
+// and by the bytes the enumerator actually stores: the same per-sub-list
+// structure with ceil(|N(r)|/64) words per common string in place of
+// ceil(n/8) bytes (flat, root-local levels), plus the root universes.
 
 #include <cstdio>
 
@@ -32,8 +34,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n=== Figure 9: memory vs clique size ===\n");
   util::TableWriter table({"clique size k", "sub-lists N[k]",
-                           "candidates M[k]", "bytes (paper formula)",
-                           "bytes (measured)", "maximal found"});
+                           "candidates M[k]", "bytes (paper, n-bit)",
+                           "bytes (root-local)", "maximal found"});
   std::size_t peak_bytes = 0;
   std::size_t peak_k = 0;
   for (const auto& level : stats.levels) {

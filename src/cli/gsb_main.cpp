@@ -53,7 +53,6 @@
 #include "bio/tiled_correlation.h"
 #include "core/bron_kerbosch.h"
 #include "core/clique.h"
-#include "core/clique_enumerator.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_bk.h"
 #include "core/parallel_enumerator.h"
@@ -265,22 +264,6 @@ std::size_t size_flag(const util::Cli& cli, const std::string& name,
                              std::to_string(value));
   }
   return static_cast<std::size_t>(value);
-}
-
-/// Runs the Clique Enumerator (sequential when threads == 1).
-core::EnumerationStats enumerate(const graph::GraphView& g,
-                                 const core::SizeRange& range,
-                                 std::size_t threads,
-                                 const core::CliqueCallback& sink) {
-  if (threads == 1) {
-    core::CliqueEnumeratorOptions options;
-    options.range = range;
-    return core::enumerate_maximal_cliques(g, sink, options);
-  }
-  core::ParallelOptions options;
-  options.range = range;
-  options.threads = threads;
-  return core::enumerate_maximal_cliques_parallel(g, sink, options).base;
 }
 
 /// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
@@ -690,7 +673,8 @@ int cmd_cliques(const util::Cli& cli) {
     const bool ordered = writer.has_value() || print_members;
     seconds = run_bk_engine(g, range, threads, sink, ordered, progress);
   } else {
-    seconds = enumerate(g, range, threads, sink).total_seconds;
+    seconds = core::enumerate_maximal_cliques_threads(g, sink, range, threads)
+                  .total_seconds;
   }
   std::fprintf(stderr, "%llu maximal cliques in %s (engine %s)\n",
                static_cast<unsigned long long>(counter.total()),

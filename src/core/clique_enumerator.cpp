@@ -10,7 +10,6 @@
 
 namespace gsb::core {
 
-using detail::BitsetPool;
 using detail::MappedSink;
 using graph::VertexId;
 
@@ -73,25 +72,25 @@ EnumerationStats enumerate_maximal_cliques(
     ++stats.total_maximal;
     mapped.emit(clique);
   };
-  Level current;
+  Level current(&tracker);
   if (seed_k >= 3) {
     const auto pairs = collect_seed_pairs(work);
-    current = build_seed_level_for_pairs(work, seed_k, pairs, seed_sink,
-                                         &seed_stats, seed_trace);
+    current.append(build_seed_level_for_pairs(work, seed_k, pairs, seed_sink,
+                                              &seed_stats, seed_trace));
   } else {
     std::vector<VertexId> roots(n);
     for (VertexId v = 0; v < n; ++v) roots[v] = v;
-    current = build_seed_level_for_roots(work, seed_k, roots, seed_sink,
-                                         &seed_stats, seed_trace);
+    current.append(build_seed_level_for_roots(work, seed_k, roots, seed_sink,
+                                              &seed_stats, seed_trace));
   }
   stats.seed_seconds = seed_timer.seconds();
-  for (const auto& sublist : current) {
-    tracker.allocate(sublist.bytes(), util::MemTag::kCliqueStorage);
-  }
 
   // --- level loop -------------------------------------------------------------
-  BitsetPool pool(n);
-  detail::MemoryLedger ledger(tracker);
+  // Each level is retired whole once the next one is built; the next level
+  // keeps only the root universes its sub-lists still use, and the one
+  // after it is built into the retired level's storage.
+  std::vector<Word> scratch;
+  std::vector<SublistBlock> spare;
   std::size_t k = seed_k;  // size of candidate cliques in `current`
   while (!current.empty() && range.open_above(k)) {
     util::Timer level_timer;
@@ -106,42 +105,42 @@ EnumerationStats enumerate_maximal_cliques(
     LevelTrace trace;
     if (options.record_trace) {
       trace.k = k;
-      trace.task_work.reserve(current.size());
-      trace.task_seconds.reserve(current.size());
+      trace.task_work.reserve(counts.sublists);
+      trace.task_seconds.reserve(counts.sublists);
     }
 
-    Level next;
-    for (auto& sublist : current) {
-      const std::uint64_t work_proxy = sublist.pair_work();
-      util::Timer task_timer;
-      const auto counters = detail::process_sublist(
-          work, sublist,
-          [&](const std::vector<VertexId>& prefix, VertexId v, VertexId u) {
-            mapped.emit_parts(prefix, v, u);
-          },
-          next, pool, ledger);
-      if (options.record_trace) {
-        trace.task_work.push_back(work_proxy);
-        trace.task_seconds.push_back(task_timer.seconds());
+    SublistBlock out;
+    if (!spare.empty()) out = std::move(spare.back());
+    out.reset(k);
+    detail::KernelCounters counters;
+    const auto emit = [&](std::span<const VertexId> prefix, VertexId v,
+                          VertexId u) { mapped.emit_parts(prefix, v, u); };
+    current.for_each([&](const SublistView& sub) {
+      if (!options.record_trace) {
+        counters += detail::expand_sublist(sub, emit, out, scratch);
+        return;
       }
-      level.pairs_checked += counters.pairs_checked;
-      level.edges_present += counters.edges_present;
-      level.maximal_emitted += counters.maximal_emitted;
-      stats.total_maximal += counters.maximal_emitted;
-    }
+      util::Timer task_timer;
+      counters += detail::expand_sublist(sub, emit, out, scratch);
+      trace.task_work.push_back(sub.pair_work());
+      trace.task_seconds.push_back(task_timer.seconds());
+    });
+    level.pairs_checked = counters.pairs_checked;
+    level.edges_present = counters.edges_present;
+    level.maximal_emitted = counters.maximal_emitted;
+    stats.total_maximal += counters.maximal_emitted;
+
+    Level next(&tracker);
+    next.append(std::move(out));
+    next.inherit_universes(current);
+    spare = current.take_blocks();
     current = std::move(next);
     ++k;
-    ledger.flush();
 
     level.seconds = level_timer.seconds();
     stats.levels.push_back(level);
     if (options.record_trace) stats.traces.push_back(std::move(trace));
     if (options.progress) options.progress(level);
-  }
-
-  // Window closed with candidates still alive: release their accounting.
-  for (const auto& sublist : current) {
-    tracker.release(sublist.bytes(), util::MemTag::kCliqueStorage);
   }
 
   stats.total_seconds = total_timer.seconds();

@@ -33,8 +33,8 @@ class MappedSink {
   }
 
   /// Assembles prefix + v + u (ascending by construction) and emits.
-  void emit_parts(const std::vector<graph::VertexId>& prefix,
-                  graph::VertexId v, graph::VertexId u) {
+  void emit_parts(std::span<const graph::VertexId> prefix, graph::VertexId v,
+                  graph::VertexId u) {
     parts_.clear();
     parts_.insert(parts_.end(), prefix.begin(), prefix.end());
     parts_.push_back(v);

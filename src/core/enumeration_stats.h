@@ -4,7 +4,8 @@
 /// \file enumeration_stats.h
 /// Per-level instrumentation of the Clique Enumerator.  These records back
 /// three of the paper's evaluation artifacts directly:
-///   * Figure 9 (memory vs. clique size)  — bytes_formula / bytes_actual,
+///   * Figure 9 (memory vs. clique size)  — bytes_formula (the paper's
+///     n-bit formula) / bytes_actual (the root-local layout as stored),
 ///   * Figure 8 (load balance)            — per-task costs,
 ///   * the Altix machine-model replays    — LevelTrace feeds gsb::altix.
 
@@ -22,8 +23,12 @@ struct LevelStats {
   std::uint64_t maximal_emitted = 0;  ///< maximal (k+1)-cliques found here
   std::uint64_t pairs_checked = 0;    ///< tail-pair adjacency tests
   std::uint64_t edges_present = 0;    ///< pairs that were adjacent
-  std::size_t bytes_formula = 0;      ///< paper's closed-form space for level
-  std::size_t bytes_actual = 0;       ///< measured container bytes for level
+  /// The paper's closed-form space for the level, with n-bit common
+  /// strings (sublist.h: level_bytes_formula).
+  std::size_t bytes_formula = 0;
+  /// Measured bytes of the level as stored: the flat, root-local layout
+  /// (|N(r)|-bit common strings) plus the root universes it uses.
+  std::size_t bytes_actual = 0;
   double seconds = 0.0;               ///< wall time to process the level
 };
 

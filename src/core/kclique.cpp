@@ -167,17 +167,18 @@ namespace {
 
 /// Shared leaf handler for seed-level construction: classifies each tail as
 /// a maximal k-clique (streamed out) or a candidate (grouped into the
-/// prefix's sub-list).
+/// prefix's sub-list), and writes kept sub-lists straight into the flat,
+/// root-local form (sublist.h).
 class SeedLevelBuilder {
  public:
   SeedLevelBuilder(const graph::GraphView& g, std::size_t k,
                    const CliqueCallback& maximal_sink)
-      : g_(g), maximal_sink_(maximal_sink) {
+      : g_(g), maximal_sink_(maximal_sink), block_(k - 1) {
     buf_.reserve(k);
   }
 
   void operator()(const Clique& prefix, const DynamicBitset& common) {
-    CliqueSublist sublist;
+    candidates_.clear();
     const VertexId last = prefix.back();
     for (std::size_t t = common.find_next(last); t < g_.order();
          t = common.find_next(t)) {
@@ -189,28 +190,61 @@ class SeedLevelBuilder {
         buf_.push_back(tail);
         maximal_sink_(buf_);
       } else {
-        sublist.tails.push_back(tail);
+        candidates_.push_back(tail);
       }
     }
     // Sub-lists that cannot pair two candidate cliques are dropped; the
     // canonical-path argument guarantees their cliques' maximal supersets
     // are reached through other prefixes.
-    if (sublist.tails.size() > 1) {
-      sublist.prefix = prefix;
-      sublist.common = common;
-      level_.push_back(std::move(sublist));
+    if (candidates_.size() < 2) return;
+
+    // Re-express the common set and the tails over the root's universe;
+    // both are subsets of N(prefix[0]), walked in ascending order.
+    const RootUniverse& universe = universe_for(prefix.front());
+    const auto members = universe.members();
+    local_common_.assign(universe.words(), 0);
+    auto next_tail = candidates_.begin();
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      if (!common.test(members[j])) continue;
+      local_common_[j / bits::BitsetView::kWordBits] |=
+          Word{1} << (j % bits::BitsetView::kWordBits);
+      if (next_tail != candidates_.end() && *next_tail == members[j]) {
+        block_.push_tail(static_cast<std::uint32_t>(j));
+        ++next_tail;
+      }
     }
+    block_.commit(prefix, local_common_);
   }
 
   KCliqueStats& stats() noexcept { return stats_; }
   const KCliqueStats& stats() const noexcept { return stats_; }
-  Level take_level() noexcept { return std::move(level_); }
+
+  /// Hands over the level built so far (call once, when done).
+  Level take_level() {
+    level_.append(std::move(block_));
+    return std::move(level_);
+  }
 
  private:
+  const RootUniverse& universe_for(VertexId root) {
+    if (universe_ == nullptr || universe_->root() != root) {
+      universe_ = level_.find_universe(root);
+      if (universe_ == nullptr) {
+        level_.add_universe(RootUniverse(g_, root));
+        universe_ = level_.find_universe(root);
+      }
+    }
+    return *universe_;
+  }
+
   const graph::GraphView g_;
   const CliqueCallback& maximal_sink_;
   Clique buf_;
+  std::vector<VertexId> candidates_;
+  std::vector<Word> local_common_;
   Level level_;
+  SublistBlock block_;
+  const RootUniverse* universe_ = nullptr;  ///< last root's, in level_
   KCliqueStats stats_;
 };
 
@@ -306,7 +340,7 @@ const KCliqueStats& SeedLevelWorker::stats() const noexcept {
   return impl_->builder.stats();
 }
 
-Level SeedLevelWorker::take_level() noexcept {
+Level SeedLevelWorker::take_level() {
   return impl_->builder.take_level();
 }
 

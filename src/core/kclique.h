@@ -54,7 +54,9 @@ std::uint64_t count_kcliques(const graph::GraphView& g, std::size_t k);
 /// every *non-maximal* k-clique becomes a tail in the sub-list of its
 /// (k-1)-prefix; sub-lists with fewer than two tails are dropped (they
 /// cannot generate (k+1)-cliques in canonical order); every *maximal*
-/// k-clique is streamed to \p maximal_sink.
+/// k-clique is streamed to \p maximal_sink.  The level comes out flat
+/// and root-local (sublist.h), with the universe of every root that heads
+/// a sub-list, and without memory accounting.
 ///
 /// \p stats (optional) receives the pass counters.
 Level build_seed_level(const graph::GraphView& g, std::size_t k,
@@ -112,7 +114,7 @@ class SeedLevelWorker {
 
   [[nodiscard]] const KCliqueStats& stats() const noexcept;
   /// Extracts the sub-lists accumulated so far (call once, when done).
-  Level take_level() noexcept;
+  Level take_level();
 
  private:
   struct Impl;

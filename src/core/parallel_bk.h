@@ -13,10 +13,10 @@
 ///     root's CANDIDATES size) and planned by the centralized
 ///     par::LoadBalancer, with roots dealt round-robin across threads so
 ///     completion order tracks the global root order;
-///   * at runtime, a thread that drains its own queue claims unstarted
-///     roots from the heaviest remaining queue through
-///     core/detail/task_claims.h (§2.3's transfers to "light-loaded (or
-///     idle)" threads) — dense subtrees cannot serialize the run;
+///   * at runtime, a worker that drains its own queue steals unstarted
+///     roots from the other queues through par::JobGraph (§2.3's
+///     transfers to "light-loaded (or idle)" threads) — dense subtrees
+///     cannot serialize the run;
 ///   * emission goes through a reorder buffer: each root's cliques are
 ///     buffered until every earlier root has been emitted, so with
 ///     `deterministic` (the default) the sink observes the exact sequence

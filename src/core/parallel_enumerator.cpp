@@ -1,31 +1,121 @@
 #include "core/parallel_enumerator.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/detail/mapped_sink.h"
 #include "core/detail/sublist_kernel.h"
-#include "core/detail/task_claims.h"
 #include "core/kclique.h"
 #include "graph/transforms.h"
+#include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
 #include "util/timer.h"
 
 namespace gsb::core {
 namespace {
 
-using detail::BitsetPool;
 using detail::MappedSink;
 using graph::VertexId;
 
-/// Thread-local output of one bulk-synchronous round: generated sub-lists,
-/// emitted maximal cliques (flat, fixed stride), and counters.
-struct WorkerOutput {
-  Level next;
-  std::vector<VertexId> emitted;  ///< flat cliques, stride = clique size
-  detail::KernelCounters counters;
-  double busy_seconds = 0.0;
+/// Jobs per worker in one round: enough slack for stealing to even out
+/// cost-estimate errors, few enough that scheduling stays negligible.
+constexpr std::size_t kChunksPerWorker = 8;
+
+/// A contiguous run of tasks (seed pairs/roots, or sub-lists) run by one
+/// job.
+struct Chunk {
+  std::size_t first = 0;  ///< index of the first task in the round
+  std::size_t count = 0;
+  std::uint64_t cost = 0;
+  std::uint32_t home = 0;  ///< worker that produced the chunk's input
 };
+
+/// Cuts \p count tasks into contiguous chunks of about equal cost;
+/// next_cost() yields the task costs in order, and they sum to \p total.
+template <typename CostFn>
+std::vector<Chunk> plan_chunks(std::size_t count, std::uint64_t total,
+                               std::size_t workers, CostFn&& next_cost) {
+  const std::uint64_t target =
+      std::max<std::uint64_t>(1, total / (workers * kChunksPerWorker));
+  std::vector<Chunk> chunks;
+  Chunk chunk;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (chunk.count == 0) chunk.first = i;
+    chunk.cost += next_cost();
+    ++chunk.count;
+    if (chunk.cost >= target) {
+      chunks.push_back(chunk);
+      chunk = Chunk{};
+    }
+  }
+  if (chunk.count != 0) chunks.push_back(chunk);
+  return chunks;
+}
+
+/// Per-worker CPU seconds and plan/steal counts of one round.
+struct RoundStats {
+  std::vector<double> busy_seconds;
+  std::uint64_t transfers = 0;
+};
+
+/// Runs one ordered JobGraph round, one job per chunk.  The LoadBalancer
+/// plans the chunks over the workers from their costs and homes; bodies
+/// run in parallel and `complete(c)` runs in chunk order.
+template <typename BodyFn, typename CompleteFn>
+RoundStats run_round(par::ThreadPool& pool, const ParallelOptions& options,
+                     const par::LoadBalancer& balancer,
+                     std::span<const Chunk> chunks, BodyFn&& body,
+                     CompleteFn&& complete) {
+  const std::size_t workers = pool.size();
+  std::vector<std::uint64_t> costs(chunks.size());
+  std::vector<std::uint32_t> homes(chunks.size());
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    costs[c] = chunks[c].cost;
+    homes[c] = chunks[c].home;
+  }
+  const par::Assignment plan = balancer.assign(costs, homes, workers);
+  std::vector<std::uint32_t> queue_of(chunks.size(), 0);
+  for (std::uint32_t t = 0; t < plan.tasks.size(); ++t) {
+    for (const std::uint32_t c : plan.tasks[t]) queue_of[c] = t;
+  }
+
+  RoundStats round;
+  round.busy_seconds.assign(workers, 0.0);
+  par::JobGraph::Options graph_options;
+  graph_options.ordered = true;
+  graph_options.steal = options.dynamic_claiming;
+  par::JobGraph jobs(&pool, graph_options);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    par::JobGraph::JobSpec spec;
+    spec.home = queue_of[c];
+    spec.run = [&, c](std::size_t wid) {
+      const double cpu_begin = util::thread_cpu_seconds();
+      body(c, wid);
+      round.busy_seconds[wid] += util::thread_cpu_seconds() - cpu_begin;
+    };
+    spec.complete = [&, c] { complete(c); };
+    jobs.add(std::move(spec));
+  }
+  jobs.run();
+  round.transfers = plan.transfers + jobs.stats().jobs_stolen;
+  return round;
+}
+
+/// Output of one job, parked until its ordered completion.
+struct ChunkOutput {
+  std::vector<VertexId> emitted;  ///< maximal cliques, flat, fixed stride
+  Level seed_level;               ///< seeding round: the chunk's sub-lists
+  SublistBlock block;             ///< level rounds: the chunk's children
+  detail::KernelCounters counters;
+  std::uint32_t producer = 0;
+};
+
+/// Streams a chunk's flat fixed-stride cliques to the sink.
+void emit_flat(MappedSink& mapped, const std::vector<VertexId>& flat,
+               std::size_t stride) {
+  for (std::size_t i = 0; i + stride <= flat.size(); i += stride) {
+    mapped.emit(std::span<const VertexId>(&flat[i], stride));
+  }
+}
 
 }  // namespace
 
@@ -80,20 +170,22 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
   const std::size_t n = work.order();
 
   par::ThreadPool pool(num_threads);
-  par::LoadBalancer balancer(options.balancer);
-  std::vector<BitsetPool> bitset_pools;
-  bitset_pools.reserve(num_threads);
-  for (std::size_t t = 0; t < num_threads; ++t) bitset_pools.emplace_back(n);
+  const par::LoadBalancer balancer(options.balancer);
+  const auto add_busy = [&](const std::vector<double>& busy) {
+    for (std::size_t t = 0; t < busy.size(); ++t) {
+      pstats.thread_busy_seconds[t] += busy[t];
+    }
+  };
 
   // --- parallel seeding -------------------------------------------------------
   // Seed tasks are canonical 2-prefixes (edges) at Init_K >= 3 — fine
   // enough that no single dense region becomes an unsplittable task — or
   // root vertices at Init_K = 2.  Costs are estimated from the size of the
-  // admissible candidate set (one bitwise AND per task), and the same
-  // centralized scheduler balances them.
+  // admissible candidate set (one bitwise AND per task).  Chunks of tasks
+  // are dealt round-robin, then balanced by the centralized scheduler.
   util::Timer seed_timer;
-  Level current;
-  std::vector<std::uint32_t> home;  // producing thread of each sub-list
+  Level current(&tracker);
+  std::vector<std::uint32_t> home;  // producing worker of each block
   {
     const bool pair_seed = seed_k >= 3;
     std::vector<SeedPair> pairs;
@@ -115,70 +207,70 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
         costs[v] = d * d + 1;
       }
     }
-    const par::Assignment assignment = balancer.assign(costs, {}, num_threads);
-    detail::TaskClaims claims(assignment, options.dynamic_claiming);
+    std::uint64_t total = 0;
+    for (const std::uint64_t cost : costs) total += cost;
+    std::vector<Chunk> chunks =
+        plan_chunks(costs.size(), total, num_threads,
+                    [&, i = std::size_t{0}]() mutable { return costs[i++]; });
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      chunks[c].home = static_cast<std::uint32_t>(c % num_threads);
+    }
 
-    struct SeedOutput {
-      Level level;
-      std::vector<VertexId> emitted;
-      KCliqueStats stats;
-      double busy_seconds = 0.0;
-    };
-    std::vector<SeedOutput> outputs(num_threads);
-    SeedTrace seed_trace;
+    std::vector<ChunkOutput> outputs(chunks.size());
     if (options.record_trace) {
-      seed_trace.task_work.assign(costs.size(), 0);
-      seed_trace.task_seconds.assign(costs.size(), 0.0);
+      stats.seed_trace.task_work.assign(costs.size(), 0);
+      stats.seed_trace.task_seconds.assign(costs.size(), 0.0);
     }
-    pool.run_round([&](std::size_t tid) {
-      const double cpu_begin = util::thread_cpu_seconds();
-      SeedOutput& out = outputs[tid];
-      const CliqueCallback local_sink = [&](std::span<const VertexId> clique) {
-        out.emitted.insert(out.emitted.end(), clique.begin(), clique.end());
-      };
-      SeedLevelWorker worker(work, seed_k, local_sink);
-      std::int64_t task;
-      while ((task = claims.next(tid)) >= 0) {
-        const auto index = static_cast<std::size_t>(task);
-        util::Timer task_timer;
-        const std::uint64_t nodes_before = worker.stats().tree_nodes;
-        if (pair_seed) {
-          worker.process_pair(pairs[index]);
-        } else {
-          worker.process_root(static_cast<VertexId>(index));
-        }
-        if (options.record_trace) {
-          seed_trace.task_work[index] =
-              worker.stats().tree_nodes - nodes_before;
-          seed_trace.task_seconds[index] = task_timer.seconds();
-        }
-      }
-      out.stats = worker.stats();
-      out.level = worker.take_level();
-      out.busy_seconds = util::thread_cpu_seconds() - cpu_begin;
-    });
-    pstats.total_transfers += claims.steals();
-
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      SeedOutput& out = outputs[t];
-      pstats.seed_thread_seconds[t] = out.busy_seconds;
-      pstats.thread_busy_seconds[t] += out.busy_seconds;
-      for (std::size_t i = 0; i + seed_k <= out.emitted.size();
-           i += seed_k) {
-        ++stats.total_maximal;
-        mapped.emit(std::span<const VertexId>(&out.emitted[i], seed_k));
-      }
-      for (auto& sublist : out.level) {
-        tracker.allocate(sublist.bytes(), util::MemTag::kCliqueStorage);
-        current.push_back(std::move(sublist));
-        home.push_back(static_cast<std::uint32_t>(t));
-      }
-    }
-    if (options.record_trace) stats.seed_trace = std::move(seed_trace);
+    const RoundStats round = run_round(
+        pool, options, balancer, chunks,
+        [&](std::size_t c, std::size_t wid) {
+          ChunkOutput& out = outputs[c];
+          out.producer = static_cast<std::uint32_t>(wid);
+          const CliqueCallback local_sink =
+              [&out](std::span<const VertexId> clique) {
+                out.emitted.insert(out.emitted.end(), clique.begin(),
+                                   clique.end());
+              };
+          SeedLevelWorker worker(work, seed_k, local_sink);
+          for (std::size_t i = chunks[c].first;
+               i < chunks[c].first + chunks[c].count; ++i) {
+            util::Timer task_timer;
+            const std::uint64_t nodes_before = worker.stats().tree_nodes;
+            if (pair_seed) {
+              worker.process_pair(pairs[i]);
+            } else {
+              worker.process_root(static_cast<VertexId>(i));
+            }
+            if (options.record_trace) {
+              stats.seed_trace.task_work[i] =
+                  worker.stats().tree_nodes - nodes_before;
+              stats.seed_trace.task_seconds[i] = task_timer.seconds();
+            }
+          }
+          out.seed_level = worker.take_level();
+        },
+        [&](std::size_t c) {
+          ChunkOutput& out = outputs[c];
+          stats.total_maximal += out.emitted.size() / seed_k;
+          emit_flat(mapped, out.emitted, seed_k);
+          current.append(std::move(out.seed_level));
+          home.resize(current.blocks().size(), out.producer);
+          out = ChunkOutput{};
+        });
+    pstats.seed_thread_seconds = round.busy_seconds;
+    add_busy(round.busy_seconds);
+    pstats.total_transfers += round.transfers;
   }
   stats.seed_seconds = seed_timer.seconds();
 
   // --- level-synchronous enumeration -----------------------------------------
+  // Each level is one ordered round: chunks of sub-lists are expanded in
+  // parallel, and each chunk's completion emits its cliques and appends
+  // its children as the next block of the next level, in chunk order —
+  // so the emission sequence and the next level are exactly the
+  // sequential driver's at every thread count.
+  std::vector<std::vector<Word>> scratch(pool.size());
+  std::vector<SublistBlock> spare;  // retired blocks, storage reused
   std::size_t k = seed_k;
   while (!current.empty() && range.open_above(k)) {
     util::Timer level_timer;
@@ -190,97 +282,118 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     level.bytes_formula = level_bytes_formula(counts, k, n);
     level.bytes_actual = level_bytes_actual(current);
 
-    // Scheduling decision: per-task cost estimates are the pair-comparison
-    // work each sub-list will perform.
-    std::vector<std::uint64_t> costs(current.size());
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      costs[i] = current[i].pair_work() + 1;
+    // Per-task cost estimates are the pair-comparison work each sub-list
+    // will perform; a chunk is homed on the worker that produced the
+    // block holding its first sub-list.
+    const auto blocks = current.blocks();
+    std::uint64_t total = 0;
+    for (const SublistBlock& block : blocks) {
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        total += block.pair_work(i) + 1;
+      }
     }
-    const par::Assignment assignment =
-        balancer.assign(costs, home, num_threads);
-    pstats.total_transfers += assignment.transfers;
-    detail::TaskClaims claims(assignment, options.dynamic_claiming);
+    std::size_t b = 0;
+    std::size_t i = 0;
+    std::vector<Chunk> chunks =
+        plan_chunks(counts.sublists, total, num_threads, [&]() {
+          while (i == blocks[b].size()) {
+            ++b;
+            i = 0;
+          }
+          return blocks[b].pair_work(i++) + 1;
+        });
+    std::size_t block = 0;
+    std::size_t block_end = blocks[0].size();
+    for (Chunk& chunk : chunks) {
+      while (chunk.first >= block_end) block_end += blocks[++block].size();
+      chunk.home = home[block];
+    }
 
     LevelTrace trace;
     if (options.record_trace) {
       trace.k = k;
-      trace.task_work.assign(current.size(), 0);
-      trace.task_seconds.assign(current.size(), 0.0);
+      trace.task_work.assign(counts.sublists, 0);
+      trace.task_seconds.assign(counts.sublists, 0.0);
     }
 
-    std::vector<WorkerOutput> outputs(num_threads);
-    pool.run_round([&](std::size_t tid) {
-      const double cpu_begin = util::thread_cpu_seconds();
-      WorkerOutput& out = outputs[tid];
-      detail::MemoryLedger ledger(tracker);
-      std::int64_t claimed;
-      while ((claimed = claims.next(tid)) >= 0) {
-        const auto task = static_cast<std::uint32_t>(claimed);
-        util::Timer task_timer;
-        CliqueSublist& sublist = current[task];
-        const std::uint64_t work_proxy = sublist.pair_work();
-        const auto counters = detail::process_sublist(
-            work, sublist,
-            [&](const std::vector<VertexId>& prefix, VertexId v, VertexId u) {
-              out.emitted.insert(out.emitted.end(), prefix.begin(),
-                                 prefix.end());
-              out.emitted.push_back(v);
-              out.emitted.push_back(u);
-            },
-            out.next, bitset_pools[tid], ledger);
-        out.counters.pairs_checked += counters.pairs_checked;
-        out.counters.edges_present += counters.edges_present;
-        out.counters.maximal_emitted += counters.maximal_emitted;
-        if (options.record_trace) {
-          trace.task_work[task] = work_proxy;
-          trace.task_seconds[task] = task_timer.seconds();
-        }
-      }
-      out.busy_seconds = util::thread_cpu_seconds() - cpu_begin;
-    });
-    pstats.total_transfers += claims.steals();
-
-    // Collect results (single-threaded scheduler step, as in the paper).
-    Level next;
-    std::vector<std::uint32_t> next_home;
-    std::vector<double> thread_seconds(num_threads, 0.0);
     const std::size_t emit_stride = k + 1;
-    for (std::size_t t = 0; t < num_threads; ++t) {
-      WorkerOutput& out = outputs[t];
-      thread_seconds[t] = out.busy_seconds;
-      pstats.thread_busy_seconds[t] += out.busy_seconds;
-      level.pairs_checked += out.counters.pairs_checked;
-      level.edges_present += out.counters.edges_present;
-      level.maximal_emitted += out.counters.maximal_emitted;
-      stats.total_maximal += out.counters.maximal_emitted;
-      for (std::size_t i = 0; i + emit_stride <= out.emitted.size();
-           i += emit_stride) {
-        mapped.emit(std::span<const VertexId>(&out.emitted[i], emit_stride));
-      }
-      for (auto& sublist : out.next) {
-        next.push_back(std::move(sublist));
-        next_home.push_back(static_cast<std::uint32_t>(t));
-      }
-    }
+    std::vector<ChunkOutput> outputs(chunks.size());
+    Level next(&tracker);
+    std::vector<std::uint32_t> next_home;
+    const RoundStats round = run_round(
+        pool, options, balancer, chunks,
+        [&](std::size_t c, std::size_t wid) {
+          ChunkOutput& out = outputs[c];
+          if (c < spare.size()) out.block = std::move(spare[c]);
+          out.block.reset(k);
+          out.producer = static_cast<std::uint32_t>(wid);
+          const auto emit = [&](std::span<const VertexId> prefix, VertexId v,
+                                VertexId u) {
+            out.emitted.insert(out.emitted.end(), prefix.begin(),
+                               prefix.end());
+            out.emitted.push_back(v);
+            out.emitted.push_back(u);
+          };
+          std::size_t task = chunks[c].first;
+          current.for_each(
+              chunks[c].first, chunks[c].count, [&](const SublistView& sub) {
+                if (!options.record_trace) {
+                  out.counters += detail::expand_sublist(sub, emit, out.block,
+                                                         scratch[wid]);
+                  return;
+                }
+                util::Timer task_timer;
+                out.counters += detail::expand_sublist(sub, emit, out.block,
+                                                       scratch[wid]);
+                trace.task_work[task] = sub.pair_work();
+                trace.task_seconds[task] = task_timer.seconds();
+                ++task;
+              });
+        },
+        [&](std::size_t c) {
+          ChunkOutput& out = outputs[c];
+          level.pairs_checked += out.counters.pairs_checked;
+          level.edges_present += out.counters.edges_present;
+          level.maximal_emitted += out.counters.maximal_emitted;
+          stats.total_maximal += out.counters.maximal_emitted;
+          emit_flat(mapped, out.emitted, emit_stride);
+          next.append(std::move(out.block));
+          next_home.resize(next.blocks().size(), out.producer);
+          out = ChunkOutput{};
+        });
+    next.inherit_universes(current);
+    spare = current.take_blocks();
     current = std::move(next);
     home = std::move(next_home);
     ++k;
 
     level.seconds = level_timer.seconds();
     stats.levels.push_back(level);
-    pstats.level_thread_seconds.push_back(std::move(thread_seconds));
+    add_busy(round.busy_seconds);
+    pstats.level_thread_seconds.push_back(round.busy_seconds);
+    pstats.total_transfers += round.transfers;
     if (options.record_trace) stats.traces.push_back(std::move(trace));
     if (options.progress) options.progress(level);
-  }
-
-  // Window closed with candidates still alive: release their accounting.
-  for (const auto& sublist : current) {
-    tracker.release(sublist.bytes(), util::MemTag::kCliqueStorage);
   }
 
   stats.total_seconds = total_timer.seconds();
   stats.finalize();
   return pstats;
+}
+
+EnumerationStats enumerate_maximal_cliques_threads(const graph::GraphView& g,
+                                                   const CliqueCallback& sink,
+                                                   const SizeRange& range,
+                                                   std::size_t threads) {
+  if (threads == 1) {
+    CliqueEnumeratorOptions options;
+    options.range = range;
+    return enumerate_maximal_cliques(g, sink, options);
+  }
+  ParallelOptions options;
+  options.range = range;
+  options.threads = threads;
+  return enumerate_maximal_cliques_parallel(g, sink, options).base;
 }
 
 }  // namespace gsb::core

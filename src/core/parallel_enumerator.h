@@ -14,10 +14,16 @@
 ///     from heavily to lightly loaded threads (addresses are passed, not
 ///     data — the sub-lists live in shared memory);
 ///   * the seeding phase (k-clique enumeration at Init_K) is parallelized
-///     over canonical DFS roots with the same scheduler.
+///     over canonical seed tasks with the same scheduler.
 ///
-/// The result set is identical to the sequential enumerator's (the tests
-/// assert set equality for every thread count).
+/// The seeding phase and each level run as one ordered par::JobGraph
+/// round.  A job is a contiguous chunk of seed tasks or sub-lists; chunks
+/// are cut to about equal pair_work() sums and planned over the threads
+/// by par::LoadBalancer, homed on the thread that produced them.  Idle
+/// threads steal queued chunks (`dynamic_claiming`).  Each chunk's ordered
+/// completion emits its cliques and appends its child sub-lists to the
+/// next level, in chunk order, so the emission sequence — not only the
+/// clique set — equals the sequential enumerator's at every thread count.
 
 #include "core/clique.h"
 #include "core/clique_enumerator.h"
@@ -37,9 +43,9 @@ struct ParallelOptions {
   bool use_kcore = true;
   /// Scheduler policy knobs (plan-time assignment).
   par::LoadBalancerConfig balancer;
-  /// Runtime transfers: idle threads claim unstarted tasks from the
-  /// heaviest remaining queue (§2.3's transfers to "light-loaded (or idle)"
-  /// threads).  Disable to measure the static-plan-only ablation.
+  /// Runtime transfers: idle threads steal queued chunks from other
+  /// threads (§2.3's transfers to "light-loaded (or idle)" threads).
+  /// Disable to measure the static-plan-only ablation.
   bool dynamic_claiming = true;
   /// Byte accounting sink; defaults to the process-global tracker.
   util::MemoryTracker* tracker = nullptr;
@@ -64,11 +70,19 @@ struct ParallelEnumerationStats {
 };
 
 /// Runs the multithreaded Clique Enumerator.  Cliques are streamed to
-/// \p sink from the scheduler thread between levels (the sink itself is
-/// never invoked concurrently).
+/// \p sink in the sequential enumerator's order, from the ordered
+/// completions (the sink itself is never invoked concurrently).
 ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     const graph::GraphView& g, const CliqueCallback& sink,
     const ParallelOptions& options = {});
+
+/// The Clique Enumerator as the CLI and the pipeline run it: the
+/// sequential driver at \p threads == 1, the multithreaded driver
+/// otherwise (0 = hardware concurrency).  Both emit the same sequence.
+EnumerationStats enumerate_maximal_cliques_threads(const graph::GraphView& g,
+                                                   const CliqueCallback& sink,
+                                                   const SizeRange& range,
+                                                   std::size_t threads);
 
 }  // namespace gsb::core
 

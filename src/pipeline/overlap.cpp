@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/clique_enumerator.h"
 #include "core/parallel_enumerator.h"
 #include "parallel/thread_pool.h"
 #include "util/timer.h"
@@ -14,23 +13,6 @@
 namespace gsb::pipeline {
 
 namespace {
-
-/// Same dispatch as the CLI: sequential Clique Enumerator at one
-/// thread, the level-synchronous parallel driver otherwise.
-core::EnumerationStats enumerate(const graph::GraphView& g,
-                                 const core::SizeRange& range,
-                                 std::size_t threads,
-                                 const core::CliqueCallback& sink) {
-  if (threads == 1) {
-    core::CliqueEnumeratorOptions options;
-    options.range = range;
-    return core::enumerate_maximal_cliques(g, sink, options);
-  }
-  core::ParallelOptions options;
-  options.range = range;
-  options.threads = threads;
-  return core::enumerate_maximal_cliques_parallel(g, sink, options).base;
-}
 
 /// Touches one word per page of the container's CSR sections so the
 /// kernel faults them in while the compute stages start on whatever is
@@ -105,8 +87,8 @@ AnalysisResult run_analysis(const graph::GraphView& g,
       "enumeration", [&result, &g, &options](std::size_t) {
     if (!result.streamed) {
       core::CliqueCollector collector;
-      result.enumeration = enumerate(g, options.range, options.threads,
-                                     collector.callback());
+      result.enumeration = core::enumerate_maximal_cliques_threads(
+          g, collector.callback(), options.range, options.threads);
       result.cliques = std::move(collector.cliques());
       result.spectrum = analysis::clique_spectrum(result.cliques);
       return;
@@ -124,7 +106,8 @@ AnalysisResult run_analysis(const graph::GraphView& g,
           }
           writer.append(members);
         };
-    result.enumeration = enumerate(g, options.range, options.threads, sink);
+    result.enumeration = core::enumerate_maximal_cliques_threads(
+        g, sink, options.range, options.threads);
     result.stream = writer.close();
     result.spectrum.finalize();
   });

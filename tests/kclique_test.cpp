@@ -125,29 +125,56 @@ TEST(SeedLevel, SublistInvariants) {
   CliqueCollector maximal;
   KCliqueStats stats;
   const Level level = build_seed_level(g, k, maximal.callback(), &stats);
+  ASSERT_GT(level.size(), 0u);
 
-  for (const auto& sublist : level) {
+  constexpr std::size_t kBits = bits::BitsetView::kWordBits;
+  const auto test_bit = [&](const Word* words, std::size_t j) {
+    return ((words[j / kBits] >> (j % kBits)) & 1u) != 0;
+  };
+  level.for_each([&](const SublistView& sublist) {
     // Prefix is a (k-1)-clique; tails extend it to non-maximal k-cliques.
     ASSERT_EQ(sublist.prefix.size(), k - 1);
-    EXPECT_TRUE(is_clique(g, sublist.prefix));
+    const Clique prefix(sublist.prefix.begin(), sublist.prefix.end());
+    EXPECT_TRUE(is_clique(g, prefix));
     EXPECT_GE(sublist.tails.size(), 2u);
-    // common = intersection of prefix neighborhoods.
-    bits::DynamicBitset expect_common = g.neighbors(sublist.prefix[0]);
-    for (std::size_t i = 1; i < sublist.prefix.size(); ++i) {
-      expect_common &= g.neighbors(sublist.prefix[i]);
+    // The universe is N(prefix[0]) in ascending order.
+    const RootUniverse& universe = *sublist.universe;
+    ASSERT_EQ(universe.root(), prefix[0]);
+    EXPECT_EQ(std::vector<graph::VertexId>(universe.members().begin(),
+                                           universe.members().end()),
+              g.neighbor_list(prefix[0]));
+    ASSERT_EQ(sublist.common.size(), universe.words());
+    // common, mapped back to global ids = intersection of prefix
+    // neighborhoods; no bit is set past |L|.
+    bits::DynamicBitset expect_common = g.neighbors(prefix[0]);
+    for (std::size_t i = 1; i < prefix.size(); ++i) {
+      expect_common &= g.neighbors(prefix[i]);
     }
-    EXPECT_TRUE(sublist.common == expect_common);
-    graph::VertexId prev = sublist.prefix.back();
-    for (graph::VertexId tail : sublist.tails) {
+    bits::DynamicBitset got_common(g.order());
+    for (std::size_t j = 0; j < universe.words() * kBits; ++j) {
+      if (!test_bit(sublist.common.data(), j)) continue;
+      ASSERT_LT(j, universe.width());
+      got_common.set(universe.global(static_cast<std::uint32_t>(j)));
+    }
+    EXPECT_TRUE(got_common == expect_common);
+    graph::VertexId prev = prefix.back();
+    for (const std::uint32_t local : sublist.tails) {
+      const graph::VertexId tail = universe.global(local);
       EXPECT_GT(tail, prev);  // ascending, above the prefix
       prev = tail;
-      Clique clique = sublist.prefix;
+      // The tail's local row is N(tail) ∩ L.
+      for (std::size_t j = 0; j < universe.width(); ++j) {
+        EXPECT_EQ(test_bit(universe.row(local), j),
+                  g.has_edge(tail, universe.global(
+                                       static_cast<std::uint32_t>(j))));
+      }
+      Clique clique = prefix;
       clique.push_back(tail);
       std::sort(clique.begin(), clique.end());
       EXPECT_TRUE(is_clique(g, clique));
       EXPECT_FALSE(is_maximal_clique(g, clique));
     }
-  }
+  });
   // Emitted seed cliques are exactly the maximal k-cliques.
   auto got = normalize(std::move(maximal.cliques()));
   std::vector<Clique> expect;
@@ -171,22 +198,18 @@ TEST(SeedLevel, RootPartitionIsLossless) {
   CliqueCollector split_max;
   Level merged;
   for (const auto& part : {part1, part2, part3}) {
-    Level local =
-        build_seed_level_for_roots(g, k, part, split_max.callback());
-    for (auto& sublist : local) merged.push_back(std::move(sublist));
+    merged.append(
+        build_seed_level_for_roots(g, k, part, split_max.callback()));
   }
   EXPECT_EQ(normalize(std::move(whole_max.cliques())),
             normalize(std::move(split_max.cliques())));
 
-  auto key = [](const CliqueSublist& s) {
-    return std::make_pair(s.prefix, s.tails);
-  };
-  std::vector<std::pair<Clique, std::vector<graph::VertexId>>> a, b;
-  for (const auto& s : whole) a.push_back(key(s));
-  for (const auto& s : merged) b.push_back(key(s));
+  auto a = test::sublist_keys(whole);
+  auto b = test::sublist_keys(merged);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+  EXPECT_EQ(merged.universes().size(), whole.universes().size());
 }
 
 TEST(SeedLevel, TraceRecordsPerRootCosts) {
@@ -221,24 +244,19 @@ TEST(SeedLevel, PairPartitionIsLossless) {
     for (std::size_t i = part; i < pairs.size(); i += 3) {
       mine.push_back(pairs[i]);
     }
-    Level local = build_seed_level_for_pairs(g, k, mine,
-                                             split_max.callback(), &stats,
-                                             &trace);
-    for (auto& sublist : local) merged.push_back(std::move(sublist));
+    merged.append(build_seed_level_for_pairs(g, k, mine, split_max.callback(),
+                                             &stats, &trace));
   }
   EXPECT_EQ(trace.task_work.size(), pairs.size());
   EXPECT_EQ(normalize(std::move(whole_max.cliques())),
             normalize(std::move(split_max.cliques())));
 
-  auto key = [](const CliqueSublist& s) {
-    return std::make_pair(s.prefix, s.tails);
-  };
-  std::vector<std::pair<Clique, std::vector<graph::VertexId>>> a, b;
-  for (const auto& s : whole) a.push_back(key(s));
-  for (const auto& s : merged) b.push_back(key(s));
+  auto a = test::sublist_keys(whole);
+  auto b = test::sublist_keys(merged);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+  EXPECT_EQ(merged.universes().size(), whole.universes().size());
 }
 
 }  // namespace

@@ -5,16 +5,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
-#include "core/detail/task_claims.h"
-#include "core/detail/sublist_kernel.h"
 #include "core/kclique.h"
 #include "core/parallel_enumerator.h"
 #include "core/verify.h"
+#include "graph/transforms.h"
 #include "parallel/load_balancer.h"
 #include "parallel/thread_pool.h"
+#include "storage/clique_stream.h"
 #include "tests/test_helpers.h"
 
 namespace gsb {
@@ -288,10 +291,22 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(2, 4),
                        ::testing::Values(1, 2)));
 
+/// Every emitted clique in emission order, flattened as size + members.
+std::vector<graph::VertexId> emission_sequence(
+    const std::function<void(const core::CliqueCallback&)>& run) {
+  std::vector<graph::VertexId> flat;
+  run([&](std::span<const graph::VertexId> clique) {
+    flat.push_back(static_cast<graph::VertexId>(clique.size()));
+    flat.insert(flat.end(), clique.begin(), clique.end());
+  });
+  return flat;
+}
+
 // Determinism across thread counts: on 20 seeded G(n, p) graphs, the
-// parallel enumerator must produce the exact result set of the sequential
-// Clique Enumerator for every thread count — the paper's multithreaded
-// driver changes only the schedule, never the output.
+// parallel enumerator must emit the exact sequence of the sequential
+// Clique Enumerator — same cliques, same order, unsorted — for every
+// thread count: the paper's multithreaded driver changes only the
+// schedule, never the output.
 TEST(ParallelDeterminism, MatchesSequentialForAllThreadCounts) {
   constexpr std::size_t kGraphs = 20;
   constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
@@ -302,15 +317,231 @@ TEST(ParallelDeterminism, MatchesSequentialForAllThreadCounts) {
     const auto g = test::random_graph(n, p, 7000 + i);
     core::CliqueEnumeratorOptions sequential_options;
     sequential_options.range = core::SizeRange{3, 0};
-    const auto expected = test::run_clique_enumerator(g, sequential_options);
+    const auto expected = emission_sequence([&](const auto& sink) {
+      core::enumerate_maximal_cliques(g, sink, sequential_options);
+    });
     for (const std::size_t threads : kThreadCounts) {
       core::ParallelOptions options;
       options.range = core::SizeRange{3, 0};
       options.threads = threads;
-      EXPECT_EQ(test::run_parallel_enumerator(g, options), expected)
-          << "graph=" << i << " n=" << n << " p=" << p
-          << " threads=" << threads;
+      const auto got = emission_sequence([&](const auto& sink) {
+        core::enumerate_maximal_cliques_parallel(g, sink, options);
+      });
+      EXPECT_EQ(got, expected) << "graph=" << i << " n=" << n << " p=" << p
+                               << " threads=" << threads;
     }
+  }
+}
+
+/// Streams the enumerator's cliques into a .gsbc file and returns its
+/// bytes.
+std::string gsbc_bytes(const graph::Graph& g, std::size_t threads) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("parallel_test_" + std::to_string(threads) + ".gsbc"))
+          .string();
+  {
+    storage::GsbcWriter writer(path, g.order());
+    const core::CliqueCallback sink =
+        [&](std::span<const graph::VertexId> clique) { writer.append(clique); };
+    if (threads == 1) {
+      core::CliqueEnumeratorOptions options;
+      options.range = core::SizeRange{3, 0};
+      core::enumerate_maximal_cliques(g, sink, options);
+    } else {
+      core::ParallelOptions options;
+      options.range = core::SizeRange{3, 0};
+      options.threads = threads;
+      core::enumerate_maximal_cliques_parallel(g, sink, options);
+    }
+    writer.close();
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(ParallelDeterminism, GsbcStreamIdenticalAtOneAndFourThreads) {
+  util::Rng rng(29);
+  graph::ModuleGraphConfig config;
+  config.n = 300;
+  config.num_modules = 20;
+  config.max_module_size = 14;
+  config.p_in = 0.9;
+  config.overlap = 0.3;
+  config.background_edges = 500;
+  const auto mg = graph::planted_modules(config, rng);
+  const std::string sequential = gsbc_bytes(mg.graph, 1);
+  ASSERT_FALSE(sequential.empty());
+  EXPECT_TRUE(gsbc_bytes(mg.graph, 4) == sequential);
+}
+
+std::uint64_t fnv1a(const std::vector<graph::VertexId>& flat) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const graph::VertexId v : flat) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+constexpr std::size_t kPinRoots = 4;
+constexpr std::size_t kPinWidths[kPinRoots] = {63, 64, 65, 140};
+
+/// A planted-module background with four roots prepended (ids 0-3, so
+/// every neighbour lies above them and each root universe holds a local
+/// row for every member).  Root r's neighbourhood is a shared 14-clique plus fillers drawn
+/// from the background's 2-core, kPinWidths[r] vertices in all: root
+/// universes of 63, 64 and 65 bits straddle a word boundary, and 140 bits
+/// take three words.  The 15-cliques make the run 12+ levels deep.
+graph::Graph enumerator_pin_graph() {
+  util::Rng rng(2005);
+  graph::ModuleGraphConfig config;
+  config.n = 500;
+  config.num_modules = 30;
+  config.max_module_size = 12;
+  config.p_in = 0.9;
+  config.overlap = 0.25;
+  config.background_edges = 900;
+  const auto base = graph::planted_modules(config, rng);
+  constexpr std::size_t kDeep = 14;
+  const auto shift = static_cast<graph::VertexId>(kPinRoots);
+  std::vector<std::pair<graph::VertexId, graph::VertexId>> edges;
+  for (const auto& [u, v] : base.graph.edge_list()) {
+    edges.emplace_back(u + shift, v + shift);
+  }
+  std::vector<graph::VertexId> pool =
+      graph::kcore_subgraph(base.graph, 2).mapping;
+  for (auto& v : pool) v += shift;
+  rng.shuffle(pool);
+  const std::vector<graph::VertexId> deep(pool.begin(), pool.begin() + kDeep);
+  std::vector<graph::VertexId> fillers(pool.begin() + kDeep, pool.end());
+  for (std::size_t a = 0; a < kDeep; ++a) {
+    for (std::size_t b = a + 1; b < kDeep; ++b) {
+      edges.emplace_back(deep[a], deep[b]);
+    }
+  }
+  for (graph::VertexId root = 0; root < kPinRoots; ++root) {
+    for (const graph::VertexId v : deep) edges.emplace_back(root, v);
+    rng.shuffle(fillers);
+    for (std::size_t f = 0; f + kDeep < kPinWidths[root]; ++f) {
+      edges.emplace_back(root, fillers[f]);
+    }
+  }
+  return graph::Graph::from_edges(base.graph.order() + kPinRoots, edges);
+}
+
+struct LevelPin {
+  std::size_t k = 0;
+  std::uint64_t sublists = 0;
+  std::uint64_t candidates = 0;
+  std::uint64_t pairs_checked = 0;
+  std::uint64_t edges_present = 0;
+  std::uint64_t maximal_emitted = 0;
+};
+
+struct EnumeratorPin {
+  std::uint64_t emission_hash = 0;  ///< FNV-1a over the flat transcript
+  std::size_t emission_words = 0;
+  std::vector<LevelPin> levels;
+};
+
+void expect_pinned_levels(const core::EnumerationStats& stats,
+                          const std::vector<graph::VertexId>& flat,
+                          const EnumeratorPin& pin) {
+  EXPECT_EQ(fnv1a(flat), pin.emission_hash);
+  EXPECT_EQ(flat.size(), pin.emission_words);
+  ASSERT_EQ(stats.levels.size(), pin.levels.size());
+  for (std::size_t i = 0; i < pin.levels.size(); ++i) {
+    const core::LevelStats& got = stats.levels[i];
+    const LevelPin& want = pin.levels[i];
+    SCOPED_TRACE("level k=" + std::to_string(want.k));
+    EXPECT_EQ(got.k, want.k);
+    EXPECT_EQ(got.sublists, want.sublists);
+    EXPECT_EQ(got.candidates, want.candidates);
+    EXPECT_EQ(got.pairs_checked, want.pairs_checked);
+    EXPECT_EQ(got.edges_present, want.edges_present);
+    EXPECT_EQ(got.maximal_emitted, want.maximal_emitted);
+  }
+}
+
+void expect_pinned_run(const graph::Graph& g, std::size_t init_k,
+                       const EnumeratorPin& pin) {
+  core::EnumerationStats stats;
+  core::CliqueEnumeratorOptions sequential;
+  sequential.range = core::SizeRange{init_k, 0};
+  auto flat = emission_sequence([&](const auto& sink) {
+    stats = core::enumerate_maximal_cliques(g, sink, sequential);
+  });
+  {
+    SCOPED_TRACE("sequential");
+    expect_pinned_levels(stats, flat, pin);
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::ParallelOptions options;
+    options.range = core::SizeRange{init_k, 0};
+    options.threads = threads;
+    flat = emission_sequence([&](const auto& sink) {
+      stats = core::enumerate_maximal_cliques_parallel(g, sink, options).base;
+    });
+    expect_pinned_levels(stats, flat, pin);
+  }
+}
+
+// The constants below were recorded with the sequential enumerator on
+// n-bit common strings and per-sub-list heap storage, which preceded the
+// flat, root-local levels; both drivers must reproduce its levels and its
+// emission sequence exactly.
+TEST(CliqueEnumeratorPin, WordStraddlingRootsMatchRecordedLevels) {
+  const graph::Graph g = enumerator_pin_graph();
+  // The construction must produce the universes it is named for, in the
+  // reduced graph the enumerator runs on.
+  const auto reduced = graph::kcore_subgraph(g, 2);
+  for (graph::VertexId root = 0; root < kPinRoots; ++root) {
+    ASSERT_EQ(reduced.mapping[root], root);
+    EXPECT_EQ(reduced.graph.degree(root), kPinWidths[root]) << "root " << root;
+  }
+  {
+    SCOPED_TRACE("Init_K 3 (pair seeding)");
+    expect_pinned_run(g, 3,
+                      {2841606692887142120ull,
+                       1631,
+                       {{3, 412, 1735, 4081, 3835, 29},
+                        {4, 875, 3484, 7353, 7147, 14},
+                        {5, 1723, 6426, 11859, 11653, 21},
+                        {6, 2976, 10122, 15822, 15677, 25},
+                        {7, 4164, 12834, 16841, 16781, 9},
+                        {8, 4504, 12673, 14034, 14019, 5},
+                        {9, 3663, 9526, 9009, 9009, 0},
+                        {10, 2200, 5346, 4368, 4368, 0},
+                        {11, 946, 2168, 1547, 1547, 0},
+                        {12, 276, 601, 378, 378, 0},
+                        {13, 49, 102, 57, 57, 0},
+                        {14, 4, 8, 4, 4, 4}}});
+  }
+  {
+    SCOPED_TRACE("Init_K 2 (root seeding)");
+    expect_pinned_run(g, 2,
+                      {14231244430563288462ull,
+                       4010,
+                       {{2, 148, 1065, 13021, 2089, 215},
+                        {3, 412, 1735, 4081, 3835, 29},
+                        {4, 875, 3484, 7353, 7147, 14},
+                        {5, 1723, 6426, 11859, 11653, 21},
+                        {6, 2976, 10122, 15822, 15677, 25},
+                        {7, 4164, 12834, 16841, 16781, 9},
+                        {8, 4504, 12673, 14034, 14019, 5},
+                        {9, 3663, 9526, 9009, 9009, 0},
+                        {10, 2200, 5346, 4368, 4368, 0},
+                        {11, 946, 2168, 1547, 1547, 0},
+                        {12, 276, 601, 378, 378, 0},
+                        {13, 49, 102, 57, 57, 0},
+                        {14, 4, 8, 4, 4, 4}}});
   }
 }
 
@@ -319,33 +550,6 @@ TEST(ParallelDeterminism, MatchesSequentialForAllThreadCounts) {
 
 namespace gsb {
 namespace {
-
-TEST(TaskClaims, EveryTaskClaimedExactlyOnce) {
-  par::Assignment assignment;
-  assignment.tasks = {{0, 1, 2}, {3, 4}, {}};
-  core::detail::TaskClaims claims(assignment);
-  std::vector<int> seen(5, 0);
-  // Thread 2 owns nothing: everything it gets is stolen.
-  for (std::size_t tid : {0u, 2u, 1u, 2u, 0u, 1u, 2u, 0u}) {
-    const auto task = claims.next(tid);
-    if (task >= 0) ++seen[static_cast<std::size_t>(task)];
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-  EXPECT_GT(claims.steals(), 0u);
-  EXPECT_EQ(claims.next(0), -1);
-}
-
-TEST(TaskClaims, NoStealingWhenDisabled) {
-  par::Assignment assignment;
-  assignment.tasks = {{0, 1}, {2}};
-  core::detail::TaskClaims claims(assignment, /*allow_steal=*/false);
-  EXPECT_EQ(claims.next(1), 2);
-  EXPECT_EQ(claims.next(1), -1);  // own queue empty; no theft
-  EXPECT_EQ(claims.next(0), 0);
-  EXPECT_EQ(claims.next(0), 1);
-  EXPECT_EQ(claims.next(0), -1);
-  EXPECT_EQ(claims.steals(), 0u);
-}
 
 TEST(ParallelEnumerator, StaticClaimingStillCorrect) {
   const auto g = test::random_graph(45, 0.35, 61);
@@ -356,21 +560,6 @@ TEST(ParallelEnumerator, StaticClaimingStillCorrect) {
   options.balancer.enable_transfers = false;
   EXPECT_EQ(test::run_parallel_enumerator(g, options),
             test::reference_in_range(g, options.range));
-}
-
-TEST(MemoryLedger, FlushesBalancedDeltas) {
-  util::MemoryTracker tracker;
-  {
-    core::detail::MemoryLedger ledger(tracker);
-    ledger.allocate(100);
-    ledger.allocate(50);
-    ledger.release(30);
-    EXPECT_EQ(tracker.current(), 0u);  // nothing flushed yet
-    ledger.flush();
-    EXPECT_EQ(tracker.current(util::MemTag::kCliqueStorage), 120u);
-    ledger.release(120);
-  }  // destructor flushes the remainder
-  EXPECT_EQ(tracker.current(), 0u);
 }
 
 TEST(SeedLevelWorker, MatchesBatchSeeding) {
@@ -385,19 +574,14 @@ TEST(SeedLevelWorker, MatchesBatchSeeding) {
   for (const auto& pair : core::collect_seed_pairs(g)) {
     worker.process_pair(pair);
   }
-  auto level = worker.take_level();
+  core::Level level = worker.take_level();
 
   EXPECT_EQ(core::normalize(std::move(batch_sink.cliques())),
             core::normalize(std::move(inc_sink.cliques())));
-  auto key = [](const core::CliqueSublist& s) {
-    return std::make_pair(s.prefix, s.tails);
-  };
-  std::vector<std::pair<core::Clique, std::vector<graph::VertexId>>> a, b;
-  for (const auto& s : batch) a.push_back(key(s));
-  for (const auto& s : level) b.push_back(key(s));
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  EXPECT_EQ(a, b);
+  // Same sub-lists (prefix, tails and common set in global ids), in the
+  // same order: pairs are fed in the batch's own order.
+  EXPECT_EQ(test::sublist_keys(level), test::sublist_keys(batch));
+  EXPECT_EQ(level.universes().size(), batch.universes().size());
 }
 
 }  // namespace

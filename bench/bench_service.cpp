@@ -42,7 +42,7 @@
 #include "service/graph_catalog.h"
 #include "service/query_engine.h"
 #include "service/result_cache.h"
-#include "service/tcp_server.h"
+#include "service/server.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_writer.h"
 #include "util/fault_injection.h"
@@ -214,7 +214,7 @@ BENCHMARK(BM_CliquesContainingRescan)->Unit(benchmark::kMicrosecond);
 #if defined(__linux__)
 
 // Closed-loop TCP load generator.  Each benchmark run binds a fresh
-// TcpServer on an ephemeral loopback port; every iteration spawns
+// SocketServer on an ephemeral loopback port; every iteration spawns
 // `clients` connections that each keep up to `depth` binary-protocol
 // requests in flight (send one new request per response received) until
 // a fixed quota completes.  Latency is measured per request from the
@@ -223,14 +223,15 @@ BENCHMARK(BM_CliquesContainingRescan)->Unit(benchmark::kMicrosecond);
 // caller actually observes.
 struct TcpBench {
   service::ResultCache cache{64u << 20};
-  std::optional<service::TcpServer> server;
+  std::optional<service::SocketServer> server;
   std::thread thread;
 
   explicit TcpBench(std::size_t threads) {
-    service::TcpServerOptions options;
+    service::ServeOptions options;
     options.threads = threads;
     options.cache = &cache;
-    server.emplace(fixture().indexed, "127.0.0.1:0", options);
+    server.emplace(fixture().indexed, service::Listener::tcp("127.0.0.1:0"),
+                   options);
     thread = std::thread([this] { server->serve(); });
   }
   ~TcpBench() {

@@ -74,7 +74,6 @@
 #include "service/graph_catalog.h"
 #include "service/result_cache.h"
 #include "service/server.h"
-#include "service/tcp_server.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
@@ -311,8 +310,8 @@ void handle_stale_temps(const util::Cli& cli,
   std::vector<std::string> dirs;
   for (const std::string& path : artifact_paths) {
     if (path.empty()) continue;
-    std::string parent = std::filesystem::path(path).parent_path().string();
-    if (parent.empty()) parent = ".";
+    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    const std::string parent = dir.empty() ? "." : dir.string();
     if (std::find(dirs.begin(), dirs.end(), parent) == dirs.end()) {
       dirs.push_back(parent);
     }
@@ -1250,8 +1249,13 @@ int cmd_serve(const util::Cli& cli) {
   options.threads = threads;
   options.cache = cache ? &*cache : nullptr;
   options.stop = &g_serve_stop;
+  options.max_inflight_bytes = inflight_bytes;
   options.request_timeout_ms = request_timeout;
   options.idle_timeout_ms = idle_timeout;
+  options.write_timeout_ms = write_timeout;
+  // `reload` control request: re-open the same artifact spec under a
+  // fresh epoch and swap it in under live traffic.
+  options.reload = [&catalog, spec] { return catalog.open("default", spec); };
 #if defined(__unix__) || defined(__APPLE__)
   // sigaction without SA_RESTART, so Ctrl-C interrupts the blocking
   // stdin read instead of waiting for the next input line.
@@ -1265,62 +1269,30 @@ int cmd_serve(const util::Cli& cli) {
   std::signal(SIGTERM, serve_signal_handler);
 #endif
 
-  if (!tcp_address.empty()) {
-    service::TcpServerOptions tcp_options;
-    tcp_options.threads = threads;
-    tcp_options.cache = cache ? &*cache : nullptr;
-    tcp_options.stop = &g_serve_stop;
-    tcp_options.max_inflight_bytes = inflight_bytes;
-    tcp_options.request_timeout_ms = request_timeout;
-    tcp_options.idle_timeout_ms = idle_timeout;
-    tcp_options.write_timeout_ms = write_timeout;
-    // `reload` control request: re-open the same artifact spec under a
-    // fresh epoch and swap it in under live traffic.
-    tcp_options.reload = [&catalog, spec] {
-      return catalog.open("default", spec);
-    };
-    service::TcpServer server(entry, tcp_address, tcp_options);
-    std::fprintf(stderr, "serving on tcp %s (port %u)\n", tcp_address.c_str(),
-                 static_cast<unsigned>(server.port()));
-    const auto tcp_stats = server.serve();
-    std::fprintf(
-        stderr,
-        "served %llu requests (%llu connections); engine: %llu queries, "
-        "%llu errors; cache %llu/%llu hits; busy %llu, reloads %llu, "
-        "protocol errors %llu%s\n",
-        static_cast<unsigned long long>(tcp_stats.requests),
-        static_cast<unsigned long long>(tcp_stats.connections),
-        static_cast<unsigned long long>(tcp_stats.engine.executed),
-        static_cast<unsigned long long>(tcp_stats.engine.errors),
-        static_cast<unsigned long long>(tcp_stats.cache_hits),
-        static_cast<unsigned long long>(tcp_stats.cache_hits +
-                                        tcp_stats.cache_misses),
-        static_cast<unsigned long long>(tcp_stats.busy_rejections),
-        static_cast<unsigned long long>(tcp_stats.reloads),
-        static_cast<unsigned long long>(tcp_stats.protocol_errors),
-        tcp_stats.shutdown_requested ? " (client shutdown)" : "");
-    const std::string latency = service::latency_quantile_fields();
-    if (!latency.empty()) {
-      std::fprintf(stderr, "request latency:%s\n", latency.c_str());
-    }
-    finish_timeline(trace_out);
-    print_memory_summary("");
-    return 0;
-  }
-
   service::ServeStats stats;
-  if (socket_path.empty()) {
+  if (socket_path.empty() && tcp_address.empty()) {
     std::fprintf(stderr, "serving on stdin (shutdown | ping | stats; EOF "
                          "stops)\n");
     stats = service::serve_stream(entry, std::cin, std::cout, options);
   } else {
-    std::fprintf(stderr, "serving on unix socket %s\n", socket_path.c_str());
-    stats = service::serve_unix_socket(entry, socket_path, options);
+    service::SocketServer server(
+        entry,
+        tcp_address.empty() ? service::Listener::unix_socket(socket_path)
+                            : service::Listener::tcp(tcp_address),
+        options);
+    if (tcp_address.empty()) {
+      std::fprintf(stderr, "serving on unix socket %s\n", socket_path.c_str());
+    } else {
+      std::fprintf(stderr, "serving on tcp %s (port %u)\n",
+                   tcp_address.c_str(), static_cast<unsigned>(server.port()));
+    }
+    stats = server.serve();
   }
   std::fprintf(
       stderr,
       "served %llu requests (%llu connections); engine: %llu queries, "
-      "%llu errors, index %llu, rescans %llu; cache %llu/%llu hits%s\n",
+      "%llu errors, index %llu, rescans %llu; cache %llu/%llu hits; "
+      "busy %llu, reloads %llu, protocol errors %llu%s\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.connections),
       static_cast<unsigned long long>(stats.engine.executed),
@@ -1329,6 +1301,9 @@ int cmd_serve(const util::Cli& cli) {
       static_cast<unsigned long long>(stats.engine.stream_scans),
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(stats.cache_hits + stats.cache_misses),
+      static_cast<unsigned long long>(stats.busy_rejections),
+      static_cast<unsigned long long>(stats.reloads),
+      static_cast<unsigned long long>(stats.protocol_errors),
       stats.shutdown_requested ? " (client shutdown)" : "");
   const std::string latency = service::latency_quantile_fields();
   if (!latency.empty()) {

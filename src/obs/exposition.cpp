@@ -18,25 +18,6 @@ const char* type_keyword(MetricType type) {
   return "untyped";
 }
 
-/// Prometheus label *values* need \\, \" and \n escaped.
-void append_label_escaped(std::string& out, const std::string& value) {
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
 void append_series_line(std::string& out, const std::string& name,
                         const std::string& suffix, const std::string& labels,
                         const std::string& extra_label,

@@ -26,10 +26,6 @@ const char* span_name(Span span) noexcept {
       return "cache_lookup";
     case Span::kExecute:
       return "execute";
-    case Span::kSerialize:
-      return "serialize";
-    case Span::kSocketWrite:
-      return "socket_write";
     case Span::kNumSpans:
       break;
   }

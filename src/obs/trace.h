@@ -24,12 +24,10 @@
 namespace gsb::obs {
 
 enum class Span : unsigned {
-  kQueueWait = 0,  ///< admission to worker pickup (TCP dispatch queue)
+  kQueueWait = 0,  ///< dispatch to worker pickup (socket servers)
   kParse,          ///< query text -> typed Query
   kCacheLookup,    ///< result-cache probe (and insert on miss)
   kExecute,        ///< engine execution
-  kSerialize,      ///< response framing
-  kSocketWrite,    ///< blocking socket write (Unix transport)
   kNumSpans
 };
 inline constexpr std::size_t kNumSpans =

@@ -134,9 +134,24 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
 std::string execute_traced_line(const char* transport, QueryEngine& engine,
                                 ResultCache* cache, const std::string& line,
                                 std::uint64_t& cache_hits,
-                                std::uint64_t& cache_misses) {
+                                std::uint64_t& cache_misses,
+                                const Dispatch* dispatch) {
   obs::TraceScope trace(obs::Tracer::global(), transport, line);
-  obs::TimelineSpan span(obs::TimelineEventKind::kRequest, line);
+  obs::TimelineJournal& journal = obs::TimelineJournal::global();
+  const std::uint64_t id = dispatch != nullptr ? dispatch->id : 0;
+  if (dispatch != nullptr && (trace.active() || journal.enabled())) {
+    const auto waited = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - dispatch->at)
+            .count());
+    if (trace.active()) trace.add_pre_span(obs::Span::kQueueWait, waited);
+    if (journal.enabled()) {
+      const std::uint64_t now = journal.now_micros();
+      journal.record(obs::TimelineEventKind::kQueueWait,
+                     now >= waited ? now - waited : 0, waited, id, line);
+    }
+  }
+  obs::TimelineSpan span(journal, obs::TimelineEventKind::kRequest, line, id);
   return execute_cached_line(engine, cache, line, cache_hits, cache_misses);
 }
 

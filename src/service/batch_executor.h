@@ -13,6 +13,7 @@
 /// scale comes from many concurrent independent requests against one
 /// resident model.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,13 +65,23 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
                                 std::uint64_t& cache_hits,
                                 std::uint64_t& cache_misses);
 
-/// execute_cached_line inside one request's spans: an obs::TraceScope
-/// tagged with \p transport and a kRequest timeline span labelled with
-/// the line.  Both are inert unless the tracer / timeline is enabled.
+/// A socket server's hand-off of one request to a worker.
+struct Dispatch {
+  std::chrono::steady_clock::time_point at;  ///< queued for a worker
+  std::uint64_t id = 0;  ///< binary request id; 0 on the line protocol
+};
+
+/// execute_cached_line inside one request's spans — the one place every
+/// transport opens them: an obs::TraceScope tagged with \p transport and
+/// a kRequest timeline span labelled with the line.  With \p dispatch,
+/// the wait from its hand-off to now is recorded first as the request's
+/// queue_wait (trace pre-span and timeline event).  All inert unless the
+/// tracer / timeline is enabled.
 std::string execute_traced_line(const char* transport, QueryEngine& engine,
                                 ResultCache* cache, const std::string& line,
                                 std::uint64_t& cache_hits,
-                                std::uint64_t& cache_misses);
+                                std::uint64_t& cache_misses,
+                                const Dispatch* dispatch = nullptr);
 
 }  // namespace gsb::service
 

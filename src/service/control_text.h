@@ -1,13 +1,10 @@
 #ifndef GSB_SERVICE_CONTROL_TEXT_H
 #define GSB_SERVICE_CONTROL_TEXT_H
 
-/// Control-plane response text shared by every serve transport.
-///
-/// The Unix/stream loop and the TCP event loop used to hand-roll their
-/// own `ok stats: ...` lines, which drifted.  Both now feed a StatsFields
-/// through render_stats_line (existing keys and their order preserved;
-/// uptime_seconds and rss_bytes appended), and both answer the `metrics`
-/// control request through metrics_response.
+/// Control-plane response text shared by every serve transport: the
+/// `ok stats: ...` line rendered from a StatsFields, and the `metrics` and
+/// `profile` control families.  ServeCore::control_response (serve_core.h)
+/// is the one caller on the serving side.
 
 #include <cstdint>
 #include <optional>
@@ -21,7 +18,7 @@ struct StatsFields {
   std::uint64_t requests = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// TCP-only fields; emitted when set so the Unix loop's key set is
+  /// Socket-server fields; emitted when set so the stdin key set is
   /// unchanged.
   std::optional<std::uint64_t> connections;
   std::optional<std::uint64_t> busy;

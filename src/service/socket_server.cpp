@@ -1,10 +1,7 @@
-#include "service/tcp_server.h"
+#include "service/server.h"
 
 #include <cstring>
 #include <stdexcept>
-
-#include "service/batch_executor.h"
-#include "service/wire_protocol.h"
 
 #if defined(__linux__)
 
@@ -14,9 +11,10 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -26,14 +24,18 @@
 
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "parallel/thread_pool.h"
+#include "service/batch_executor.h"
 #include "service/control_text.h"
+#include "service/serve_core.h"
+#include "service/wire_protocol.h"
 #include "util/io.h"
 #include "util/timer.h"
 
 namespace gsb::service {
 namespace {
+
+using Clock = ServeCore::Clock;
 
 constexpr int kEpollTimeoutMs = 200;
 constexpr std::size_t kReadChunk = 64 * 1024;
@@ -47,74 +49,6 @@ std::string trimmed(const std::string& line) {
   return line.substr(begin, end - begin + 1);
 }
 
-/// The TCP event loop's counters on the global registry; inert until the
-/// registry is enabled.  The epoll wakeup counter ticks on idle timeouts
-/// too — a healthy idle server shows ~5/s, a hot one shows wakeups
-/// tracking request bursts.
-struct LoopMetrics {
-  obs::Counter requests;
-  obs::Counter connections;
-  obs::Counter accept_errors;
-  obs::Counter bytes_in;
-  obs::Counter bytes_out;
-  obs::Counter busy_rejections;
-  obs::Counter protocol_errors;
-  obs::Counter disconnects;
-  obs::Counter reloads;
-  obs::Counter epoll_wakeups;
-  obs::Counter timeout_requests;
-  obs::Counter timeout_idle;
-  obs::Counter timeout_write;
-  obs::Histogram socket_write;
-};
-
-const LoopMetrics& loop_metrics() {
-  static const LoopMetrics metrics = [] {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    const std::string labels = "transport=\"tcp\"";
-    LoopMetrics m;
-    m.requests = registry.counter("gsb_requests_total",
-                                  "Requests received per transport.", labels);
-    m.connections =
-        registry.counter("gsb_connections_total",
-                         "Connections accepted per transport.", labels);
-    m.accept_errors = registry.counter(
-        "gsb_accept_errors_total", "Failed accept() calls per transport.",
-        labels);
-    m.bytes_in = registry.counter(
-        "gsb_bytes_read_total", "Request bytes read per transport.", labels);
-    m.bytes_out = registry.counter(
-        "gsb_bytes_written_total", "Response bytes written per transport.",
-        labels);
-    m.busy_rejections = registry.counter(
-        "gsb_busy_rejections_total",
-        "Requests answered `busy:` by admission control.");
-    m.protocol_errors = registry.counter(
-        "gsb_protocol_errors_total", "Malformed binary-protocol frames.");
-    m.disconnects = registry.counter(
-        "gsb_disconnects_total", "Connections dropped mid-session.");
-    m.reloads = registry.counter("gsb_reloads_total",
-                                 "Successful catalog hot reloads.");
-    m.epoll_wakeups = registry.counter(
-        "gsb_epoll_wakeups_total",
-        "Event-loop wakeups (events ready or idle timeout).");
-    const char* timeout_name = "gsb_timeouts_total";
-    const char* timeout_help =
-        "Requests or connections timed out, by timeout kind.";
-    m.timeout_requests =
-        registry.counter(timeout_name, timeout_help, "kind=\"request\"");
-    m.timeout_idle =
-        registry.counter(timeout_name, timeout_help, "kind=\"idle\"");
-    m.timeout_write =
-        registry.counter(timeout_name, timeout_help, "kind=\"write\"");
-    m.socket_write = registry.histogram(
-        "gsb_socket_write_microseconds",
-        "Time spent writing responses to the socket.", labels);
-    return m;
-  }();
-  return metrics;
-}
-
 /// One queued request: a query awaiting a worker, a control request
 /// answered inline at its turn, or a pre-computed response (admission
 /// `busy`) — all three flow through the same per-connection FIFO so
@@ -125,8 +59,7 @@ struct Pending {
   std::uint64_t id = 0;  ///< binary request id; 0 on the line protocol
   std::string text;      ///< request text (kQuery / kControl)
   std::string ready;     ///< response bytes (kReady)
-  /// Arrival time; the request deadline runs from here.
-  std::chrono::steady_clock::time_point enqueued;
+  Clock::time_point arrival;  ///< framing time; the deadline runs from here
 };
 
 struct Conn {
@@ -147,25 +80,25 @@ struct Conn {
   const GraphEntry* engine_entry = nullptr;
   /// Timeout bookkeeping, swept on epoll ticks: last byte read from the
   /// peer, and last forward progress writing to it.
-  std::chrono::steady_clock::time_point last_activity;
-  std::chrono::steady_clock::time_point last_write_progress;
+  Clock::time_point last_activity;
+  Clock::time_point last_write_progress;
 };
 
 struct Job {
   std::shared_ptr<Conn> conn;
-  std::uint64_t id = 0;
   std::string text;
   std::shared_ptr<const GraphEntry> entry;
-  std::chrono::steady_clock::time_point enqueued;
+  Clock::time_point arrival;
+  Dispatch dispatch;
 };
 
 struct Completion {
   std::shared_ptr<Conn> conn;
   std::uint64_t id = 0;
   std::string response;
+  bool timed_out = false;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::chrono::steady_clock::time_point enqueued;
 };
 
 /// The epoll event loop plus its worker pool: all socket I/O on one
@@ -174,8 +107,11 @@ struct Completion {
 class Loop {
  public:
   Loop(std::shared_ptr<const GraphEntry> entry, int listen_fd,
-       const TcpServerOptions& options)
-      : entry_(std::move(entry)), options_(options), listen_fd_(listen_fd) {
+       const ServeOptions& options, bool tcp)
+      : transport_(tcp ? "tcp" : "unix"),
+        tcp_(tcp),
+        core_(std::move(entry), options, transport_, SOMAXCONN),
+        listen_fd_(listen_fd) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) throw std::runtime_error("serve: epoll_create1 failed");
     event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -197,8 +133,8 @@ class Loop {
     }
   }
 
-  TcpServeStats run() {
-    std::size_t threads = options_.threads;
+  ServeStats run() {
+    std::size_t threads = options().threads;
     if (threads == 0) threads = par::ThreadPool::default_threads();
     workers_.reserve(threads);
     for (std::size_t t = 0; t < threads; ++t) {
@@ -209,8 +145,8 @@ class Loop {
     // without any, the stock 200ms shutdown-poll tick suffices.
     int tick_ms = kEpollTimeoutMs;
     for (const std::size_t t :
-         {options_.request_timeout_ms, options_.idle_timeout_ms,
-          options_.write_timeout_ms}) {
+         {options().request_timeout_ms, options().idle_timeout_ms,
+          options().write_timeout_ms}) {
       if (t != 0) {
         tick_ms = std::min<int>(
             tick_ms, std::max<int>(10, static_cast<int>(t / 2)));
@@ -223,7 +159,7 @@ class Loop {
       if (ready < 0 && errno != EINTR) {
         throw std::runtime_error("serve: epoll_wait failed");
       }
-      metrics_.epoll_wakeups.inc();
+      epoll_wakeups_.inc();
       for (int i = 0; i < std::max(ready, 0); ++i) {
         const int fd = events[i].data.fd;
         if (fd == listen_fd_) {
@@ -245,21 +181,22 @@ class Loop {
       }
       drain_completions();
       sweep_timeouts();
-      if (!stopping_ && options_.stop != nullptr &&
-          options_.stop->load(std::memory_order_relaxed)) {
-        begin_shutdown();
-      }
+      if (!stopping_ && core_.should_stop()) begin_shutdown();
       if (stopping_ && conns_.empty() && inflight_jobs_ == 0) break;
     }
 
     stop_workers();
-    stats_.engine = QueryEngineStats{};
-    stats_.engine += engine_stats_;
-    stats_.shutdown_requested = shutdown_;
-    return stats_;
+    stats().engine = engine_stats_;
+    return stats();
   }
 
  private:
+  [[nodiscard]] const ServeOptions& options() const noexcept {
+    return core_.options();
+  }
+  ServeStats& stats() noexcept { return core_.stats(); }
+  const TransportMetrics& metrics() const noexcept { return core_.metrics(); }
+
   // --- epoll plumbing -------------------------------------------------------
 
   void add_fd(int fd, std::uint32_t mask) {
@@ -300,19 +237,21 @@ class Loop {
       const int fd = util::io::accept_nonblock(listen_fd_);
       if (fd < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        ++stats_.accept_errors;
-        metrics_.accept_errors.inc();
+        ++stats().accept_errors;
+        metrics().accept_errors.inc();
         break;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      if (tcp_) {
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
-      conn->last_activity = std::chrono::steady_clock::now();
+      conn->last_activity = Clock::now();
       conn->last_write_progress = conn->last_activity;
       conns_.emplace(fd, conn);
-      ++stats_.connections;
-      metrics_.connections.inc();
+      ++stats().connections;
+      metrics().connections.inc();
       add_fd(fd, EPOLLIN);
     }
   }
@@ -331,8 +270,8 @@ class Loop {
   }
 
   void disconnect(const std::shared_ptr<Conn>& conn) {
-    ++stats_.disconnects;
-    metrics_.disconnects.inc();
+    ++stats().disconnects;
+    metrics().disconnects.inc();
     drop(conn);
   }
 
@@ -365,6 +304,7 @@ class Loop {
     if (conn->dead || conn->eof || conn->fatal) return;
     char buf[kReadChunk];
     std::size_t total = 0;
+    bool peer_closed = false;
     while (total < kMaxReadPerTick) {
       const ssize_t n = util::io::recv_some(conn->fd, buf, sizeof(buf), 0);
       if (n < 0) {
@@ -374,24 +314,27 @@ class Loop {
       }
       if (n == 0) {
         conn->eof = true;
+        peer_closed = true;
         break;
       }
       conn->in.append(buf, static_cast<std::size_t>(n));
       total += static_cast<std::size_t>(n);
-      metrics_.bytes_in.inc(static_cast<std::uint64_t>(n));
+      metrics().bytes_in.inc(static_cast<std::uint64_t>(n));
     }
-    if (total > 0) conn->last_activity = std::chrono::steady_clock::now();
+    if (total > 0) conn->last_activity = Clock::now();
     parse(conn);
     if (conn->dead) return;
-    if (conn->eof && conn->proto == Conn::Proto::kLine && !conn->in.empty()) {
+    if (peer_closed && conn->proto == Conn::Proto::kLine &&
+        !conn->in.empty()) {
       // EOF: a final request without a trailing newline is still a
-      // request — answer it before closing instead of dropping it.
+      // request — answer it before closing instead of dropping it.  (A
+      // `shutdown` parsed above also sets eof, but leaves a fragment
+      // unanswered: its peer may still be sending the rest.)
       const std::string text = trimmed(conn->in);
       conn->in.clear();
       if (!text.empty()) enqueue_text(conn, 0, text);
+      if (conn->dead) return;
     }
-    pump(conn);
-    if (conn->dead) return;
     flush_out(conn);
     maybe_close(conn);
   }
@@ -438,8 +381,8 @@ class Loop {
   }
 
   void protocol_error(const std::shared_ptr<Conn>& conn) {
-    ++stats_.protocol_errors;
-    metrics_.protocol_errors.inc();
+    ++stats().protocol_errors;
+    metrics().protocol_errors.inc();
     respond(conn, 0, "error: malformed frame");
     conn->fatal = true;  // flush what is queued on the wire, then close
     conn->queue.clear();
@@ -451,29 +394,28 @@ class Loop {
   /// disconnected once its backlog reaches 4x the byte budget.
   void enqueue_text(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                     std::string text) {
-    ++stats_.requests;
-    metrics_.requests.inc();
+    core_.count_request();
     if (is_control_request(text)) {
       Pending p;
       p.kind = Pending::Kind::kControl;
       p.id = id;
       p.text = std::move(text);
-      conn->queue.push_back(std::move(p));
+      enqueue(conn, std::move(p));
       return;
     }
-    if (conn->out.size() >= 4 * options_.max_inflight_bytes) {
+    if (conn->out.size() >= 4 * options().max_inflight_bytes) {
       disconnect(conn);  // overload: client is not reading at all
       return;
     }
-    if (conn->queue.size() >= options_.max_pipeline) {
-      ++stats_.busy_rejections;
-      metrics_.busy_rejections.inc();
+    if (conn->queue.size() >= options().max_pipeline) {
+      ++stats().busy_rejections;
+      metrics().busy_rejections.inc();
       enqueue_ready(conn, id, "busy: pipeline limit reached");
       return;
     }
-    if (conn->out.size() >= options_.max_inflight_bytes) {
-      ++stats_.busy_rejections;
-      metrics_.busy_rejections.inc();
+    if (conn->out.size() >= options().max_inflight_bytes) {
+      ++stats().busy_rejections;
+      metrics().busy_rejections.inc();
       enqueue_ready(conn, id, "busy: in-flight byte budget exceeded");
       return;
     }
@@ -481,8 +423,8 @@ class Loop {
     p.kind = Pending::Kind::kQuery;
     p.id = id;
     p.text = std::move(text);
-    p.enqueued = std::chrono::steady_clock::now();
-    conn->queue.push_back(std::move(p));
+    p.arrival = Clock::now();
+    enqueue(conn, std::move(p));
   }
 
   void enqueue_ready(const std::shared_ptr<Conn>& conn, std::uint64_t id,
@@ -491,7 +433,15 @@ class Loop {
     p.kind = Pending::Kind::kReady;
     p.id = id;
     p.ready = std::move(response);
-    conn->queue.push_back(std::move(p));
+    enqueue(conn, std::move(p));
+  }
+
+  /// Appends to the connection's FIFO and advances it at once, so a
+  /// query dispatches as soon as it is framed rather than after the rest
+  /// of its read.
+  void enqueue(const std::shared_ptr<Conn>& conn, Pending item) {
+    conn->queue.push_back(std::move(item));
+    pump(conn);
   }
 
   // --- execution ------------------------------------------------------------
@@ -508,32 +458,30 @@ class Loop {
           respond(conn, item.id, item.ready);
           break;
         case Pending::Kind::kControl: {
-          const bool is_shutdown = item.text == "shutdown";
           // The response must hit the output buffer before begin_shutdown
           // marks connections EOF — maybe_close drops a drained connection
           // immediately, and the reply must not be the casualty.
-          respond(conn, item.id, control_response(item.text));
-          if (is_shutdown) begin_shutdown();
+          respond(conn, item.id, core_.control_response(item.text));
+          if (core_.should_stop()) begin_shutdown();
           break;
         }
         case Pending::Kind::kQuery: {
-          if (past_deadline(item.enqueued)) {
+          if (core_.past_deadline(item.arrival)) {
             // Shed at dispatch: the deadline already passed while the
             // request waited its FIFO turn, so answer the typed error
             // in order instead of burning a worker on it.
-            ++stats_.timeouts;
-            metrics_.timeout_requests.inc();
-            respond(conn, item.id, "error: deadline exceeded");
+            core_.count_timeout(TimeoutKind::kRequest);
+            respond(conn, item.id, kDeadlineError);
             break;
           }
           conn->executing = true;
           ++inflight_jobs_;
           Job job;
           job.conn = conn;
-          job.id = item.id;
           job.text = std::move(item.text);
-          job.entry = entry_;
-          job.enqueued = std::chrono::steady_clock::now();
+          job.entry = core_.entry();
+          job.arrival = item.arrival;
+          job.dispatch = Dispatch{Clock::now(), item.id};
           {
             std::lock_guard<std::mutex> lock(jobs_mutex_);
             jobs_.push_back(std::move(job));
@@ -545,19 +493,12 @@ class Loop {
     }
   }
 
-  [[nodiscard]] bool past_deadline(
-      std::chrono::steady_clock::time_point enqueued) const {
-    return options_.request_timeout_ms != 0 &&
-           std::chrono::steady_clock::now() - enqueued >
-               std::chrono::milliseconds(options_.request_timeout_ms);
-  }
-
   void respond(const std::shared_ptr<Conn>& conn, std::uint64_t id,
                std::string_view line) {
     if (conn->dead) return;
     if (conn->out.empty()) {
       // The write-stall clock starts when output first becomes pending.
-      conn->last_write_progress = std::chrono::steady_clock::now();
+      conn->last_write_progress = Clock::now();
     }
     if (conn->proto == Conn::Proto::kBinary) {
       wire::encode_response(conn->out, wire::status_for_response(line), id,
@@ -566,45 +507,6 @@ class Loop {
       conn->out.append(line);
       conn->out.push_back('\n');
     }
-  }
-
-  std::string control_response(const std::string& request) {
-    if (request == "ping") return "ok pong";
-    if (request == "shutdown") {
-      shutdown_ = true;  // caller (pump) begins the shutdown after the
-      return "ok shutdown";  // response is buffered
-    }
-    if (request == "reload") {
-      if (!options_.reload) return "error: reload unavailable";
-      try {
-        auto fresh = options_.reload();
-        if (fresh == nullptr) return "error: reload unavailable";
-        entry_ = std::move(fresh);
-        ++stats_.reloads;
-        metrics_.reloads.inc();
-        return "ok reload epoch=" + std::to_string(entry_->epoch());
-      } catch (const std::exception& error) {
-        return std::string("error: reload failed: ") + error.what();
-      }
-    }
-    if (const auto profile = profile_response(request)) return *profile;
-    if (const auto metrics = metrics_response(request)) return *metrics;
-    // stats
-    StatsFields fields;
-    fields.requests = stats_.requests;
-    fields.cache_hits = stats_.cache_hits;
-    fields.cache_misses = stats_.cache_misses;
-    fields.connections = stats_.connections;
-    fields.busy = stats_.busy_rejections;
-    fields.accept_errors = stats_.accept_errors;
-    fields.backlog = SOMAXCONN;
-    fields.epoch = entry_->epoch();
-    if (options_.request_timeout_ms != 0 || options_.idle_timeout_ms != 0 ||
-        options_.write_timeout_ms != 0) {
-      fields.timeouts = stats_.timeouts;
-    }
-    fields.cache = options_.cache;
-    return render_stats_line(fields);
   }
 
   // --- writing --------------------------------------------------------------
@@ -619,7 +521,7 @@ class Loop {
           util::io::send_some(conn->fd, conn->out.data(), chunk, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        metrics_.bytes_out.inc(sent_bytes);
+        metrics().bytes_out.inc(sent_bytes);
         disconnect(conn);  // EPIPE/ECONNRESET: client left mid-response
         return;
       }
@@ -627,10 +529,10 @@ class Loop {
       sent_bytes += static_cast<std::uint64_t>(n);
     }
     if (sent_bytes > 0) {
-      metrics_.bytes_out.inc(sent_bytes);
-      metrics_.socket_write.observe_micros(
+      metrics().bytes_out.inc(sent_bytes);
+      metrics().socket_write.observe_micros(
           static_cast<std::uint64_t>(write_timer.micros()));
-      conn->last_write_progress = std::chrono::steady_clock::now();
+      conn->last_write_progress = Clock::now();
     }
     update_interest(conn);
   }
@@ -640,30 +542,27 @@ class Loop {
   /// Epoll-tick sweep for idle and slow-reader connections.  Victims are
   /// collected first: disconnect mutates conns_.
   void sweep_timeouts() {
-    if (options_.idle_timeout_ms == 0 && options_.write_timeout_ms == 0) {
-      return;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    std::vector<std::pair<std::shared_ptr<Conn>, bool>> victims;
+    const std::size_t idle_ms = options().idle_timeout_ms;
+    const std::size_t write_ms = options().write_timeout_ms;
+    if (idle_ms == 0 && write_ms == 0) return;
+    const auto now = Clock::now();
+    std::vector<std::pair<std::shared_ptr<Conn>, TimeoutKind>> victims;
     for (const auto& [fd, conn] : conns_) {
       if (conn->dead) continue;
-      if (options_.write_timeout_ms != 0 && !conn->out.empty() &&
+      if (write_ms != 0 && !conn->out.empty() &&
           now - conn->last_write_progress >
-              std::chrono::milliseconds(options_.write_timeout_ms)) {
-        victims.emplace_back(conn, /*write=*/true);
+              std::chrono::milliseconds(write_ms)) {
+        victims.emplace_back(conn, TimeoutKind::kWrite);
         continue;
       }
-      if (options_.idle_timeout_ms != 0 && conn->out.empty() &&
-          conn->queue.empty() && !conn->executing && conn->in.empty() &&
-          !conn->eof &&
-          now - conn->last_activity >
-              std::chrono::milliseconds(options_.idle_timeout_ms)) {
-        victims.emplace_back(conn, /*write=*/false);
+      if (idle_ms != 0 && conn->out.empty() && conn->queue.empty() &&
+          !conn->executing && conn->in.empty() && !conn->eof &&
+          now - conn->last_activity > std::chrono::milliseconds(idle_ms)) {
+        victims.emplace_back(conn, TimeoutKind::kIdle);
       }
     }
-    for (const auto& [conn, write] : victims) {
-      ++stats_.timeouts;
-      (write ? metrics_.timeout_write : metrics_.timeout_idle).inc();
+    for (const auto& [conn, kind] : victims) {
+      core_.count_timeout(kind);
       disconnect(conn);
     }
   }
@@ -678,24 +577,16 @@ class Loop {
     }
     for (Completion& completion : done) {
       --inflight_jobs_;
-      stats_.cache_hits += completion.hits;
-      stats_.cache_misses += completion.misses;
+      stats().cache_hits += completion.hits;
+      stats().cache_misses += completion.misses;
+      if (completion.timed_out) core_.count_timeout(TimeoutKind::kRequest);
       const std::shared_ptr<Conn>& conn = completion.conn;
       conn->executing = false;
       if (conn->dead) {
         bank_engine(*conn);
         continue;
       }
-      if (past_deadline(completion.enqueued)) {
-        // The worker finished, but past the deadline: the client was
-        // promised a bounded answer, so the typed error replaces the
-        // late result (same FIFO slot, order preserved).
-        ++stats_.timeouts;
-        metrics_.timeout_requests.inc();
-        respond(conn, completion.id, "error: deadline exceeded");
-      } else {
-        respond(conn, completion.id, completion.response);
-      }
+      respond(conn, completion.id, completion.response);
       pump(conn);
       if (conn->dead) continue;
       flush_out(conn);
@@ -746,38 +637,24 @@ class Loop {
         conn.engine = std::make_unique<QueryEngine>(job.entry);
         conn.engine_entry = job.entry.get();
       }
-      Completion completion;
-      completion.id = job.id;
-      completion.enqueued = job.enqueued;
-      {
-        // Trace the worker-side request lifetime; queue wait (dispatch to
-        // pickup) is attributed explicitly since it predates the scope.
-        obs::TraceScope trace(obs::Tracer::global(), "tcp", job.text);
-        if (trace.active() || journal.enabled()) {
-          const auto waited = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - job.enqueued)
-                  .count());
-          if (trace.active()) {
-            trace.add_pre_span(obs::Span::kQueueWait, waited);
-          }
-          if (journal.enabled()) {
-            if (!lane_named) {
-              journal.set_thread_lane("tcp-worker-" + std::to_string(index));
-              lane_named = true;
-            }
-            const std::uint64_t now = journal.now_micros();
-            journal.record(obs::TimelineEventKind::kQueueWait,
-                           now >= waited ? now - waited : 0, waited, job.id,
-                           job.text);
-          }
-        }
-        obs::TimelineSpan span(obs::TimelineEventKind::kRequest, job.text,
-                               job.id);
-        completion.response = execute_cached_line(
-            *conn.engine, options_.cache, job.text, completion.hits,
-            completion.misses);
+      if (!lane_named && journal.enabled()) {
+        journal.set_thread_lane(std::string(transport_) + "-worker-" +
+                                std::to_string(index));
+        lane_named = true;
       }
+      Completion completion;
+      completion.id = job.dispatch.id;
+      // The deadline is judged here, at the worker's result, not when the
+      // event loop next drains completions.
+      completion.response = core_.answer_by_deadline(
+          job.arrival,
+          [&] {
+            return execute_traced_line(transport_, *conn.engine,
+                                       options().cache, job.text,
+                                       completion.hits, completion.misses,
+                                       &job.dispatch);
+          },
+          completion.timed_out);
       completion.conn = std::move(job.conn);
       {
         std::lock_guard<std::mutex> lock(completion_mutex_);
@@ -799,18 +676,21 @@ class Loop {
     workers_.clear();
   }
 
-  std::shared_ptr<const GraphEntry> entry_;
-  TcpServerOptions options_;
+  const char* transport_;  ///< metric label, trace tag and lane prefix
+  bool tcp_;
+  ServeCore core_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   bool accepting_ = true;
   bool stopping_ = false;
-  bool shutdown_ = false;
   std::uint64_t inflight_jobs_ = 0;
   std::unordered_map<int, std::shared_ptr<Conn>> conns_;
-  TcpServeStats stats_;
-  const LoopMetrics& metrics_ = loop_metrics();
+  /// Ticks on idle timeouts too — a healthy idle server shows ~5/s, a hot
+  /// one shows wakeups tracking request bursts.
+  obs::Counter epoll_wakeups_ = obs::MetricsRegistry::global().counter(
+      "gsb_epoll_wakeups_total",
+      "Event-loop wakeups (events ready or idle timeout).");
 
   std::vector<std::thread> workers_;
   std::mutex jobs_mutex_;
@@ -889,24 +769,96 @@ int bind_tcp(const std::string& address, std::uint16_t& port) {
   return fd;
 }
 
+/// Binds \p path as a Unix-domain listener (SOMAXCONN backlog) and
+/// returns the non-blocking listen fd plus the identity of the socket
+/// file it created.  A stale socket file is replaced; a non-socket, or a
+/// path another live server still accepts on, is refused.
+int bind_unix(const std::string& path, std::uint64_t& dev,
+              std::uint64_t& ino) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    throw std::runtime_error("serve: socket path too long: " + path);
+  }
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+
+  // A connect() probe tells a live listener (accepts) from a leftover
+  // file (refuses).
+  struct stat st{};
+  if (::stat(path.c_str(), &st) == 0) {
+    if (!S_ISSOCK(st.st_mode)) {
+      throw std::runtime_error("serve: '" + path +
+                               "' exists and is not a socket");
+    }
+    const int probe = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (probe >= 0) {
+      const int live = ::connect(
+          probe, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+      ::close(probe);
+      if (live == 0) {
+        throw std::runtime_error("serve: '" + path +
+                                 "' is already served by a live process");
+      }
+    }
+    ::unlink(path.c_str());
+  }
+
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) throw std::runtime_error("serve: socket() failed");
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd, SOMAXCONN) != 0) {
+    const std::string error = std::strerror(errno);
+    ::close(fd);
+    throw std::runtime_error("serve: cannot bind '" + path + "': " + error);
+  }
+  struct stat bound{};
+  if (::stat(path.c_str(), &bound) == 0) {
+    dev = bound.st_dev;
+    ino = bound.st_ino;
+  }
+  return fd;
+}
+
 }  // namespace
 
-TcpServer::TcpServer(std::shared_ptr<const GraphEntry> entry,
-                     const std::string& address, TcpServerOptions options)
-    : entry_(std::move(entry)), options_(std::move(options)) {
+SocketServer::SocketServer(std::shared_ptr<const GraphEntry> entry,
+                           Listener listener, ServeOptions options)
+    : entry_(std::move(entry)),
+      listener_(std::move(listener)),
+      options_(std::move(options)) {
   if (entry_ == nullptr) {
-    throw std::invalid_argument("TcpServer: null graph entry");
+    throw std::invalid_argument("SocketServer: null graph entry");
   }
-  listen_fd_ = bind_tcp(address, port_);
+  listen_fd_ = listener_.family == Listener::Family::kTcp
+                   ? bind_tcp(listener_.address, port_)
+                   : bind_unix(listener_.address, bound_dev_, bound_ino_);
 }
 
-TcpServer::~TcpServer() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
+SocketServer::~SocketServer() { close_listener(); }
+
+ServeStats SocketServer::serve() {
+  ServeStats stats;
+  {
+    Loop loop(entry_, listen_fd_, options_,
+              listener_.family == Listener::Family::kTcp);
+    stats = loop.run();
+  }
+  close_listener();
+  return stats;
 }
 
-TcpServeStats TcpServer::serve() {
-  Loop loop(entry_, listen_fd_, options_);
-  return loop.run();
+void SocketServer::close_listener() noexcept {
+  if (listen_fd_ < 0) return;
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  struct stat current{};
+  if (listener_.family == Listener::Family::kUnix && bound_ino_ != 0 &&
+      ::stat(listener_.address.c_str(), &current) == 0 &&
+      current.st_dev == bound_dev_ && current.st_ino == bound_ino_) {
+    ::unlink(listener_.address.c_str());
+  }
 }
 
 }  // namespace gsb::service
@@ -915,20 +867,24 @@ TcpServeStats TcpServer::serve() {
 
 namespace gsb::service {
 
-TcpServer::TcpServer(std::shared_ptr<const GraphEntry> entry,
-                     const std::string&, TcpServerOptions options)
-    : entry_(std::move(entry)), options_(std::move(options)) {
+SocketServer::SocketServer(std::shared_ptr<const GraphEntry> entry,
+                           Listener listener, ServeOptions options)
+    : entry_(std::move(entry)),
+      listener_(std::move(listener)),
+      options_(std::move(options)) {
   throw std::runtime_error(
-      "serve: the TCP transport requires epoll (Linux); use the stdin or "
-      "Unix-socket transport");
+      "serve: the socket transports (--tcp, --socket) require epoll "
+      "(Linux); use the stdin transport");
 }
 
-TcpServer::~TcpServer() = default;
+SocketServer::~SocketServer() = default;
 
-TcpServeStats TcpServer::serve() {
+ServeStats SocketServer::serve() {
   throw std::runtime_error(
-      "serve: the TCP transport requires epoll (Linux)");
+      "serve: the socket transports require epoll (Linux)");
 }
+
+void SocketServer::close_listener() noexcept {}
 
 }  // namespace gsb::service
 

@@ -43,7 +43,6 @@
 #include "service/clique_index.h"
 #include "service/graph_catalog.h"
 #include "service/server.h"
-#include "service/tcp_server.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
@@ -652,34 +651,8 @@ TEST(StreamDeadline, StatsLineOmitsTimeoutsUnlessConfigured) {
 
 #if defined(__linux__)
 
-/// One TCP server on an ephemeral port, serving on a background thread.
-struct TcpFixture {
-  GraphCatalog catalog;
-  std::shared_ptr<const GraphEntry> entry;
-  std::optional<TcpServer> server;
-  std::thread thread;
-  TcpServeStats stats;
-
-  explicit TcpFixture(const Built& b, TcpServerOptions options = {}) {
-    entry = catalog.open("g", spec_for(b));
-    server.emplace(entry, "127.0.0.1:0", options);
-    thread = std::thread([this] { stats = server->serve(); });
-  }
-
-  [[nodiscard]] std::string address() const {
-    return "127.0.0.1:" + std::to_string(server->port());
-  }
-
-  ~TcpFixture() {
-    if (thread.joinable()) {
-      try {
-        ServiceClient::connect_tcp(address()).request("shutdown");
-      } catch (const std::exception&) {
-      }
-      thread.join();
-    }
-  }
-};
+using test::loopback_tcp;
+using test::ServerFixture;
 
 std::uint64_t stats_field(const std::string& line, const std::string& key) {
   const auto pos = line.find(" " + key + "=");
@@ -692,11 +665,10 @@ TEST(TcpRobustness, RequestDeadlineProducesTypedErrorsInOrder) {
   const auto g = test::random_graph(32, 0.3, 13);
   const Built b = build_artifacts(g, d, "g");
 
-  TcpServerOptions options;
-  options.threads = 1;
+  ServeOptions options;
   options.request_timeout_ms = 5;
   options.max_pipeline = 1u << 20;  // the deadline, not admission, sheds
-  TcpFixture fx(b, options);
+  ServerFixture fx(spec_for(b), loopback_tcp(), 1, options);
 
   auto client = ServiceClient::connect_tcp(fx.address());
   const std::string reference = client.request("degree 5");
@@ -726,9 +698,9 @@ TEST(TcpRobustness, IdleConnectionIsClosedAndCounted) {
   const auto g = test::random_graph(24, 0.3, 13);
   const Built b = build_artifacts(g, d, "g");
 
-  TcpServerOptions options;
+  ServeOptions options;
   options.idle_timeout_ms = 60;
-  TcpFixture fx(b, options);
+  ServerFixture fx(spec_for(b), loopback_tcp(), 2, options);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
@@ -757,11 +729,10 @@ TEST(TcpRobustness, SlowReaderIsDisconnectedByWriteTimeout) {
   const auto g = test::random_graph(64, 0.5, 13);
   const Built b = build_artifacts(g, d, "g");
 
-  TcpServerOptions options;
-  options.threads = 2;
+  ServeOptions options;
   options.write_timeout_ms = 100;
   options.max_pipeline = 1u << 20;  // answer everything; volume is the test
-  TcpFixture fx(b, options);
+  ServerFixture fx(spec_for(b), loopback_tcp(), 2, options);
 
   // A client with a tiny receive window that floods queries and never
   // reads: the server's writes stall, and the write timeout must
@@ -833,7 +804,7 @@ TEST(TcpRobustness, RetryingClientReplaysByteIdenticalAfterInjectedReset) {
   ScratchDir d("gsb_rb_tcp_retry");
   const auto g = test::random_graph(48, 0.3, 41);
   const Built b = build_artifacts(g, d, "g");
-  TcpFixture fx(b);
+  ServerFixture fx(spec_for(b), loopback_tcp(), 2);
 
   const auto lines = retry_workload(g, 10);
   std::vector<std::string> reference;

@@ -38,13 +38,12 @@
 #include "service/query_engine.h"
 #include "service/result_cache.h"
 #include "service/server.h"
-#include "service/tcp_server.h"
 #include "service/wire_protocol.h"
 #include "storage/clique_stream.h"
 #include "storage/gsbg_writer.h"
 #include "tests/test_helpers.h"
 
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
 #define GSB_TEST_UNIX_SOCKETS 1
 #include <csignal>
 #include <netinet/in.h>
@@ -679,10 +678,9 @@ TEST(Serve, UnixSocketSessionAnswersAndShutsDown) {
 
   ServeOptions options;
   options.threads = 2;
+  SocketServer unix_server(entry, Listener::unix_socket(socket_path), options);
   ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  std::thread server([&] { stats = unix_server.serve(); });
 
   // Connect (retrying while the server binds), run one session.
   int fd = -1;
@@ -783,10 +781,9 @@ TEST(Serve, SurvivesClientDisconnectMidResponse) {
 
   ServeOptions options;
   options.threads = 2;
+  SocketServer unix_server(entry, Listener::unix_socket(socket_path), options);
   ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  std::thread server([&] { stats = unix_server.serve(); });
 
   // Flood: thousands of pipelined requests, then an immediate close —
   // never reading a byte, so the server's writes hit a dead peer.
@@ -844,13 +841,15 @@ TEST(Serve, SignalsDuringBlockedIoDropNoResponses) {
 
   ServeOptions options;
   options.threads = 2;
+  // The whole pipelined script arrives in one write: the deadline-free
+  // loop must answer all of it, not shed its tail as `busy`.
+  options.max_pipeline = 1u << 20;
+  SocketServer unix_server(entry, Listener::unix_socket(socket_path), options);
   ServeStats stats;
-  // The server thread (and its per-connection threads) keep SIGUSR1
-  // unblocked; the test thread blocks it before spawning the signaler, so
-  // every kill() below lands on a server thread's blocked syscall.
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, options);
-  });
+  // The server thread (and its worker threads) keep SIGUSR1 unblocked;
+  // the test thread blocks it before spawning the signaler, so every
+  // kill() below lands on a server thread's blocked syscall.
+  std::thread server([&] { stats = unix_server.serve(); });
   sigset_t usr1;
   sigemptyset(&usr1);
   sigaddset(&usr1, SIGUSR1);
@@ -914,10 +913,9 @@ TEST(Serve, UnixSocketAnswersMetricsRequests) {
   const std::string socket_path = temp_path("service_socket_obs.sock");
   std::remove(socket_path.c_str());
 
+  SocketServer unix_server(entry, Listener::unix_socket(socket_path), {});
   ServeStats stats;
-  std::thread server([&] {
-    stats = serve_unix_socket(entry, socket_path, {});
-  });
+  std::thread server([&] { stats = unix_server.serve(); });
   const int fd = connect_unix_retrying(socket_path);
   ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
   const std::string request = "degree 2\nmetrics prom\nmetrics json\nshutdown\n";
@@ -1005,43 +1003,8 @@ TEST(WireProtocol, FramesRoundTripAndRejectMalformedInput) {
 
 #if defined(__linux__)
 
-/// One TCP server on an ephemeral port, serving on a background thread.
-struct TcpFixture {
-  GraphCatalog catalog;
-  std::shared_ptr<const GraphEntry> entry;
-  std::optional<TcpServer> server;
-  std::thread thread;
-  TcpServeStats stats;
-
-  TcpFixture(const Artifacts& a, TcpServerOptions options = {},
-             bool with_reload = false, const GraphSpec* spec = nullptr) {
-    entry = catalog.open("g", spec_for(a));
-    if (with_reload) {
-      GraphSpec reload_spec = spec != nullptr ? *spec : spec_for(a);
-      options.reload = [this, reload_spec] {
-        return catalog.open("g", reload_spec);
-      };
-    }
-    server.emplace(entry, "127.0.0.1:0", options);
-    thread = std::thread([this] { stats = server->serve(); });
-  }
-
-  [[nodiscard]] std::string address() const {
-    return "127.0.0.1:" + std::to_string(server->port());
-  }
-
-  void join() { thread.join(); }
-
-  ~TcpFixture() {
-    if (thread.joinable()) {
-      try {
-        ServiceClient::connect_tcp(address()).request("shutdown");
-      } catch (const std::exception&) {
-      }
-      thread.join();
-    }
-  }
-};
+using test::loopback_tcp;
+using test::ServerFixture;
 
 TEST(TcpServe, LineProtocolMatchesBatchAcrossThreadCountsAndReportsStats) {
   const auto a = make_artifacts(48, 0.3, 41, "service_tcp_line");
@@ -1054,9 +1017,7 @@ TEST(TcpServe, LineProtocolMatchesBatchAcrossThreadCountsAndReportsStats) {
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
   for (const std::size_t threads : {1u, 4u}) {
-    TcpServerOptions options;
-    options.threads = threads;
-    TcpFixture fx(a, options);
+    ServerFixture fx(spec_for(a), loopback_tcp(), threads);
 
     auto client = ServiceClient::connect_tcp(fx.address());
     EXPECT_EQ(client.request("ping"), "ok pong");
@@ -1092,9 +1053,7 @@ TEST(TcpServe, BinaryPipeliningMatchesLineBytesAndPreservesIdOrder) {
   sequential.threads = 1;
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
-  TcpServerOptions options;
-  options.threads = 3;
-  TcpFixture fx(a, options);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 3);
 
   auto client = ServiceClient::connect_tcp(fx.address());
   const auto responses = client.call_pipelined(lines);
@@ -1121,10 +1080,9 @@ TEST(TcpServe, BinaryPipeliningMatchesLineBytesAndPreservesIdOrder) {
 
 TEST(TcpServe, AdmissionControlAnswersTypedBusyInFifoOrder) {
   const auto a = make_artifacts(40, 0.3, 47, "service_tcp_busy");
-  TcpServerOptions options;
-  options.threads = 1;
+  ServeOptions options;
   options.max_pipeline = 1;  // one executing + one queued, rest -> busy
-  TcpFixture fx(a, options);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 1, options);
 
   QueryEngine reference(fx.entry);
   const std::string expected = reference.execute_line("top-hubs 5");
@@ -1166,10 +1124,10 @@ TEST(TcpServe, HotReloadUnderConcurrentLoadMixesNoEpochs) {
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
   ResultCache cache(8u << 20);
-  TcpServerOptions options;
-  options.threads = 4;
+  ServeOptions options;
   options.cache = &cache;
-  TcpFixture fx(a, options, /*with_reload=*/true);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 4, options,
+                   /*with_reload=*/true);
 
   // Four clients hammer the full workload while reloads swap epochs
   // underneath them; every response must stay byte-identical.
@@ -1210,9 +1168,7 @@ TEST(TcpServe, HotReloadUnderConcurrentLoadMixesNoEpochs) {
 
 TEST(TcpServe, SurvivesClientDisconnectMidResponse) {
   const auto a = make_artifacts(48, 0.35, 59, "service_tcp_drop");
-  TcpServerOptions options;
-  options.threads = 2;
-  TcpFixture fx(a, options);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 2);
 
   {
     // Flood pipelined requests and vanish without reading a byte.
@@ -1238,7 +1194,7 @@ TEST(TcpServe, SurvivesClientDisconnectMidResponse) {
 
 TEST(TcpServe, MalformedBinaryFrameClosesOnlyThatConnection) {
   const auto a = make_artifacts(32, 0.3, 61, "service_tcp_malformed");
-  TcpFixture fx(a);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 2);
 
   {
     // Hand-crafted garbage: the 0x01 sniff byte commits the connection
@@ -1298,9 +1254,7 @@ TEST(TcpServe, MetricsOnLeavesResponsesByteIdenticalAndScrapes) {
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
   ScopedObservability obs_on;
-  TcpServerOptions options;
-  options.threads = 3;
-  TcpFixture fx(a, options);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 3);
 
   auto client = ServiceClient::connect_tcp(fx.address());
   EXPECT_EQ(client.request_pipelined(lines), reference.responses)
@@ -1344,7 +1298,7 @@ TEST(TcpServe, MetricsOnLeavesResponsesByteIdenticalAndScrapes) {
 
 TEST(TcpServe, MetricsRequestIsRejectedWhenDisabled) {
   const auto a = make_artifacts(24, 0.3, 73, "service_tcp_obs_off");
-  TcpFixture fx(a);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 2);
   auto client = ServiceClient::connect_tcp(fx.address());
   EXPECT_EQ(client.request("metrics"),
             "error: metrics disabled (serve with --metrics)");
@@ -1363,9 +1317,7 @@ TEST(TcpServe, ProfileWindowLeavesResponsesByteIdenticalOnBothProtocols) {
   sequential.threads = 1;
   const auto reference = execute_batch(reference_entry, lines, sequential);
 
-  TcpServerOptions options;
-  options.threads = 3;
-  TcpFixture fx(a, options);
+  ServerFixture fx(spec_for(a), loopback_tcp(), 3);
 
   auto client = ServiceClient::connect_tcp(fx.address());
   EXPECT_EQ(client.request("profile start"), "ok profile started");
@@ -1395,6 +1347,50 @@ TEST(TcpServe, ProfileWindowLeavesResponsesByteIdenticalOnBothProtocols) {
   fx.join();
   EXPECT_EQ(fx.stats.protocol_errors, 0u);
   obs::TimelineJournal::global().reset();
+}
+
+TEST(ServeTransports, EveryTransportServesBatchBytesAtOneAndFourThreads) {
+  const auto a = make_artifacts(48, 0.3, 83, "service_matrix");
+  const auto lines = mixed_workload(a.graph);
+
+  GraphCatalog reference_catalog;
+  auto reference_entry = reference_catalog.open("g", spec_for(a));
+  BatchOptions sequential;
+  sequential.threads = 1;
+  const auto reference = execute_batch(reference_entry, lines, sequential);
+  std::string reference_bytes;
+  for (const auto& response : reference.responses) {
+    reference_bytes += response + '\n';
+  }
+
+  const std::string socket_path = temp_path("service_matrix.sock");
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    {
+      std::string script;
+      for (const auto& line : lines) script += line + '\n';
+      std::istringstream in(script);
+      std::ostringstream out;
+      ServeOptions options;
+      options.threads = threads;
+      serve_stream(reference_entry, in, out, options);
+      EXPECT_EQ(out.str(), reference_bytes) << "stdin stream";
+    }
+    for (const Listener& listener :
+         {Listener::unix_socket(socket_path), loopback_tcp()}) {
+      const char* family =
+          listener.family == Listener::Family::kUnix ? "unix" : "tcp";
+      ServerFixture fx(spec_for(a), listener, threads);
+      EXPECT_EQ(fx.connect().request_pipelined(lines), reference.responses)
+          << family << " line";
+      // A second connection: the first byte commits a connection's framing.
+      std::vector<std::string> payloads;
+      for (auto& frame : fx.connect().call_pipelined(lines)) {
+        payloads.push_back(std::move(frame.payload));
+      }
+      EXPECT_EQ(payloads, reference.responses) << family << " binary";
+    }
+  }
 }
 
 #endif  // defined(__linux__)

@@ -1,11 +1,17 @@
 #ifndef GSB_TESTS_TEST_HELPERS_H
 #define GSB_TESTS_TEST_HELPERS_H
 
-/// Shared fixtures for the clique-algorithm test suites: seeded random
-/// graphs and collector-based wrappers that return normalized clique sets
-/// for order-insensitive comparison.
+/// Shared fixtures for the test suites: seeded random graphs,
+/// collector-based wrappers that return normalized clique sets for
+/// order-insensitive comparison, and a socket server on a background
+/// thread for the service suites.
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/bron_kerbosch.h"
@@ -17,6 +23,9 @@
 #include "core/verify.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "service/client.h"
+#include "service/graph_catalog.h"
+#include "service/server.h"
 #include "util/rng.h"
 
 namespace gsb::test {
@@ -93,6 +102,67 @@ inline std::vector<core::Clique> reference_in_range(
     const graph::Graph& g, const core::SizeRange& range) {
   return core::filter_by_size(core::reference_maximal_cliques(g), range);
 }
+
+/// A TCP listener on an ephemeral loopback port.
+inline service::Listener loopback_tcp() {
+  return service::Listener::tcp("127.0.0.1:0");
+}
+
+/// One service::SocketServer over a freshly opened catalog entry, serving
+/// on a background thread: a TCP listener (`HOST:0` binds an ephemeral
+/// port) or a Unix-domain socket path.  The worker count is explicit so
+/// no test depends on the host's core count; with \p with_reload the
+/// `reload` request re-opens \p spec under a new epoch.  Destruction
+/// sends `shutdown` if the test has not joined the server itself.
+struct ServerFixture {
+  service::GraphCatalog catalog;
+  std::shared_ptr<const service::GraphEntry> entry;
+  service::Listener listener;
+  std::optional<service::SocketServer> server;
+  service::ServeStats stats;
+  std::thread thread;  ///< after what it uses: server, stats
+
+  ServerFixture(const service::GraphSpec& spec, service::Listener where,
+                std::size_t threads, service::ServeOptions options = {},
+                bool with_reload = false)
+      : listener(std::move(where)) {
+    entry = catalog.open("g", spec);
+    options.threads = threads;
+    if (with_reload) {
+      options.reload = [this, spec] { return catalog.open("g", spec); };
+    }
+    server.emplace(entry, listener, std::move(options));
+    thread = std::thread([this] { stats = server->serve(); });
+  }
+
+  /// `HOST:PORT` with the bound port, or the socket path.
+  [[nodiscard]] std::string address() const {
+    if (listener.family == service::Listener::Family::kUnix) {
+      return listener.address;
+    }
+    const std::string host =
+        listener.address.substr(0, listener.address.rfind(':'));
+    return host + ":" + std::to_string(server->port());
+  }
+
+  [[nodiscard]] service::ServiceClient connect() const {
+    return listener.family == service::Listener::Family::kUnix
+               ? service::ServiceClient::connect_unix(address())
+               : service::ServiceClient::connect_tcp(address());
+  }
+
+  void join() { thread.join(); }
+
+  ~ServerFixture() {
+    if (thread.joinable()) {
+      try {
+        connect().request("shutdown");
+      } catch (const std::exception&) {
+      }
+      thread.join();
+    }
+  }
+};
 
 }  // namespace gsb::test
 

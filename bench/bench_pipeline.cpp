@@ -12,7 +12,9 @@
 //     compute;
 //   * both again with the .gsbc spill path, whose stream must stay
 //     byte-identical between modes (scheduler_test and the robustness
-//     chaos suite assert that; here it is the I/O-heavy variant).
+//     chaos suite assert that; here it is the I/O-heavy variant);
+//   * the paraclique stage on its own (residue build, maximum clique and
+//     glom per extraction), the one analysis stage that mutates a copy.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <string>
 
+#include "analysis/paraclique.h"
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "obs/timeline.h"
@@ -148,6 +151,26 @@ BENCHMARK(BM_PipelineOverlappedMapped)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// The paraclique stage alone, with the pipeline's defaults (glom 1,
+// min size 5).
+void BM_ExtractAllParacliques(benchmark::State& state) {
+  const gsb::graph::GraphView g(fixture().graph);
+  const gsb::pipeline::AnalysisOptions defaults;
+  gsb::analysis::ParacliqueOptions para;
+  para.glom = defaults.glom;
+  std::size_t found = 0;
+  for (auto _ : state) {
+    const auto paras = gsb::analysis::extract_all_paracliques(
+        g, defaults.min_paraclique, para);
+    found = paras.size();
+    benchmark::DoNotOptimize(paras.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      found * static_cast<std::size_t>(state.iterations())));
+  state.counters["paracliques"] = static_cast<double>(found);
+}
+BENCHMARK(BM_ExtractAllParacliques)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The timeline acceptance number: the same overlapped run with the
 // journal off, then on (job + queue-wait + steal + stage spans live).

@@ -1,7 +1,9 @@
 #include "analysis/paraclique.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "bitset/dynamic_bitset.h"
 #include "core/maximum_clique.h"
@@ -16,10 +18,27 @@ using graph::VertexId;
 
 Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
                            const ParacliqueOptions& options) {
+  const std::size_t n = g.order();
   Paraclique result;
   result.seed_size = seed_clique.size();
-  DynamicBitset members(g.order());
-  for (VertexId v : seed_clique) members.set(v);
+
+  // links[u] = |members ∩ N(u)| and candidates = N(members) \ members are
+  // kept current as vertices join.  A non-member outside the candidates has
+  // no link to the paraclique, so it can never join.
+  DynamicBitset members(n);
+  DynamicBitset candidates(n);
+  std::vector<std::uint32_t> links(n, 0);
+  const auto join = [&](VertexId v) {
+    members.set(v);
+    candidates.reset(v);
+    g.neighbors(v).for_each([&](std::size_t u) {
+      ++links[u];
+      if (!members.test(u)) candidates.set(u);
+    });
+  };
+  for (VertexId v : seed_clique) {
+    if (!members.test(v)) join(v);
+  }
   std::size_t member_count = seed_clique.size();
 
   std::size_t rounds = 0;
@@ -27,12 +46,12 @@ Paraclique grow_paraclique(const graph::GraphView& g, const Clique& seed_clique,
   while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
     grew = false;
     ++rounds;
-    for (VertexId v = 0; v < g.order(); ++v) {
-      if (members.test(v)) continue;
-      const std::size_t links =
-          DynamicBitset::count_and(members, g.neighbors(v));
-      if (links + options.glom >= member_count && links > 0) {
-        members.set(v);
+    // Ascending scan: a vertex that joins exposes its higher neighbors to
+    // this same round and its lower ones to the next.
+    for (std::size_t v = candidates.find_first(); v < n;
+         v = candidates.find_next(v)) {
+      if (links[v] + options.glom >= member_count) {
+        join(static_cast<VertexId>(v));
         ++member_count;
         grew = true;
       }
@@ -71,18 +90,38 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options) {
-  std::vector<Paraclique> out;
   // Iterative extraction removes edges, so this is the one analysis stage
-  // that cannot run off a read-only mapping: it materializes a mutable
-  // copy.  Recorded with the tracker so out-of-core runs report it
-  // honestly in their memory summary.
-  graph::Graph residue = graph::materialize(g);
+  // that cannot run off a read-only mapping: it builds a mutable residue.
+  // The residue holds only the vertices of nonzero degree, relabelled in
+  // ascending order.  An isolated vertex never seeds or joins a paraclique,
+  // takes color 1 in the maximum-clique search without touching another
+  // vertex's color class, and ranks after every vertex with an edge in the
+  // greedy bound, so dropping it changes neither search nor glom.  Recorded
+  // with the tracker so out-of-core runs report it in their memory summary.
+  std::vector<VertexId> original;  // residue id -> g id
+  std::vector<VertexId> local(g.order(), 0);
+  for (VertexId v = 0; v < g.order(); ++v) {
+    if (g.degree(v) == 0) continue;
+    local[v] = static_cast<VertexId>(original.size());
+    original.push_back(v);
+  }
+  graph::Graph residue(original.size());
+  for (VertexId u = 0; u < residue.order(); ++u) {
+    g.neighbors(original[u]).for_each([&](std::size_t v) {
+      if (local[v] > u) residue.add_edge(u, local[v]);
+    });
+  }
   util::ScopedAllocation residue_bytes(util::global_memory_tracker(),
                                        residue.adjacency_bytes(),
                                        util::MemTag::kGraph);
+
+  // A seed of one vertex has no edge to remove, so extraction would repeat
+  // it forever: every paraclique needs at least two members.
+  const std::size_t min_seed = std::max<std::size_t>(min_size, 2);
+  std::vector<Paraclique> out;
   while (true) {
     const auto seed = core::maximum_clique(residue);
-    if (seed.clique.size() < std::max<std::size_t>(min_size, 1)) break;
+    if (seed.clique.size() < min_seed) break;
     Paraclique para = grow_paraclique(residue, seed.clique, options);
     // Remove the paraclique's edges from the residue graph.
     for (std::size_t i = 0; i < para.members.size(); ++i) {
@@ -90,6 +129,7 @@ std::vector<Paraclique> extract_all_paracliques(
         residue.remove_edge(para.members[i], para.members[j]);
       }
     }
+    for (VertexId& v : para.members) v = original[v];
     out.push_back(std::move(para));
   }
   return out;

@@ -48,8 +48,10 @@ Paraclique extract_paraclique_from_stream(const graph::GraphView& g,
                                           storage::GsbcReader& stream,
                                           const ParacliqueOptions& options = {});
 
-/// Iteratively extracts disjoint paracliques (each round removes the
-/// found members) until none of at least \p min_size remains.
+/// Iteratively extracts paracliques until no seed clique of at least
+/// \p min_size vertices remains (a seed needs an edge, so sizes below 2
+/// act as 2).  Each round seeds from a maximum clique of the residue graph,
+/// gloms it, and removes the edges among its members from the residue.
 std::vector<Paraclique> extract_all_paracliques(
     const graph::GraphView& g, std::size_t min_size,
     const ParacliqueOptions& options = {});

@@ -11,6 +11,17 @@ namespace {
 
 using bits::DynamicBitset;
 
+/// Orders vertices by degree, highest first, and ties by ascending id, so
+/// the greedy bounds pick the same seeds whatever the sort implementation
+/// and however the graph's vertices are laid out.
+auto by_degree_then_id(const graph::GraphView& g) {
+  return [&g](VertexId a, VertexId b) {
+    const std::size_t da = g.degree(a);
+    const std::size_t db = g.degree(b);
+    return da != db ? da > db : a < b;
+  };
+}
+
 }  // namespace
 
 Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
@@ -18,8 +29,7 @@ Clique greedy_clique_lower_bound(const graph::GraphView& g, std::size_t seeds) {
   if (n == 0) return {};
   std::vector<VertexId> by_degree(n);
   std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
-  std::sort(by_degree.begin(), by_degree.end(),
-            [&](VertexId a, VertexId b) { return g.degree(a) > g.degree(b); });
+  std::sort(by_degree.begin(), by_degree.end(), by_degree_then_id(g));
 
   Clique best;
   DynamicBitset cand(n);
@@ -55,9 +65,7 @@ std::size_t greedy_coloring_upper_bound(const graph::GraphView& g) {
   if (n == 0) return 0;
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), VertexId{0});
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return g.degree(a) > g.degree(b);
-  });
+  std::sort(order.begin(), order.end(), by_degree_then_id(g));
   std::vector<DynamicBitset> classes;  // members per color
   for (VertexId v : order) {
     bool placed = false;

@@ -20,11 +20,14 @@
 namespace gsb::core {
 
 /// Greedy lower bound: grows a clique from each of the highest-degree
-/// seeds; returns the best found (a valid clique, not necessarily maximum).
+/// seeds (equal degrees: lower id first); returns the best found (a valid
+/// clique, not necessarily maximum).
 Clique greedy_clique_lower_bound(const graph::GraphView& g,
                                  std::size_t seeds = 8);
 
 /// Greedy (Welsh–Powell) coloring upper bound: chi_greedy >= omega.
+/// Vertices are colored by degree, highest first (equal degrees: lower id
+/// first).
 std::size_t greedy_coloring_upper_bound(const graph::GraphView& g);
 
 /// Exact maximum clique result.

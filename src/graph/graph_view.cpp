@@ -39,14 +39,4 @@ std::vector<std::pair<VertexId, VertexId>> GraphView::edge_list() const {
   return edges;
 }
 
-Graph materialize(const GraphView& g) {
-  Graph out(g.order());
-  for (VertexId u = 0; u < g.order(); ++u) {
-    g.neighbors(u).for_each([&](std::size_t v) {
-      if (v > u) out.add_edge(u, static_cast<VertexId>(v));
-    });
-  }
-  return out;
-}
-
 }  // namespace gsb::graph

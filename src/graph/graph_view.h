@@ -83,10 +83,6 @@ class GraphView {
   const std::size_t* degrees_ = nullptr;
 };
 
-/// Deep-copies a view into an owning in-memory Graph (used where an
-/// algorithm must mutate, e.g. the paraclique residue).
-Graph materialize(const GraphView& g);
-
 }  // namespace gsb::graph
 
 #endif  // GSB_GRAPH_GRAPH_VIEW_H

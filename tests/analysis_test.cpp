@@ -1,12 +1,23 @@
 // Tests for paraclique extraction, clique statistics and hub reporting.
 
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/clique_stats.h"
 #include "analysis/hubs.h"
 #include "analysis/paraclique.h"
+#include "core/maximum_clique.h"
 #include "core/verify.h"
 #include "graph/generators.h"
+#include "graph/transforms.h"
+#include "storage/gsbg_writer.h"
+#include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
 
 namespace gsb::analysis {
@@ -84,6 +95,210 @@ TEST(Paraclique, ExtractAllFindsPlantedModules) {
   const auto paras = extract_all_paracliques(mg.graph, 6, {1, 0});
   EXPECT_GE(paras.size(), 3u);
   EXPECT_GE(paras.front().members.size(), 12u);
+}
+
+/// The n-bit glom that preceded the incremental one: every round scans all
+/// n vertices in ascending order and recounts |members ∩ N(v)|.  Kept as
+/// the oracle the incremental link counts and candidates must reproduce.
+Paraclique reference_grow(const graph::GraphView& g, const Clique& seed,
+                          const ParacliqueOptions& options) {
+  Paraclique result;
+  result.seed_size = seed.size();
+  bits::DynamicBitset members(g.order());
+  for (VertexId v : seed) members.set(v);
+  std::size_t member_count = seed.size();
+  std::size_t rounds = 0;
+  bool grew = true;
+  while (grew && (options.max_rounds == 0 || rounds < options.max_rounds)) {
+    grew = false;
+    ++rounds;
+    for (VertexId v = 0; v < g.order(); ++v) {
+      if (members.test(v)) continue;
+      const std::size_t links =
+          bits::DynamicBitset::count_and(members, g.neighbors(v));
+      if (links + options.glom >= member_count && links > 0) {
+        members.set(v);
+        ++member_count;
+        grew = true;
+      }
+    }
+  }
+  members.for_each([&](std::size_t v) {
+    result.members.push_back(static_cast<VertexId>(v));
+  });
+  result.density = graph::induced_subgraph(g, result.members).graph.density();
+  return result;
+}
+
+/// \p g with isolated vertices interleaved: old vertex v becomes id[v]
+/// (ascending), 0-2 unused ids precede every vertex, and two follow the
+/// last.
+struct Spread {
+  Graph graph;
+  std::vector<VertexId> id;
+};
+
+Spread with_isolated(const Graph& g, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Spread out;
+  VertexId next = 0;
+  for (VertexId v = 0; v < g.order(); ++v) {
+    next += static_cast<VertexId>(rng.below(3));
+    out.id.push_back(next++);
+  }
+  out.graph = Graph(next + 2);
+  for (const auto& [u, v] : g.edge_list()) {
+    out.graph.add_edge(out.id[u], out.id[v]);
+  }
+  return out;
+}
+
+/// Near-clique modules (p_in < 1, so glom has work to do) on a sparse
+/// background that leaves many vertices isolated.
+Graph near_clique_modules(std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::ModuleGraphConfig config;
+  config.n = 160;
+  config.num_modules = 8;
+  config.min_module_size = 6;
+  config.max_module_size = 14;
+  config.p_in = 0.85;
+  config.background_edges = 60;
+  return graph::planted_modules(config, rng).graph;
+}
+
+/// Seed cliques of every shape: the maximum clique, the greedy one, a
+/// single vertex, an edge, and an isolated vertex when there is one.
+std::vector<Clique> oracle_seeds(const Graph& g) {
+  std::vector<Clique> seeds{core::maximum_clique(g).clique,
+                            core::greedy_clique_lower_bound(g)};
+  const auto edges = g.edge_list();
+  if (!edges.empty()) {
+    const auto& [u, v] = edges[edges.size() / 2];
+    seeds.push_back({u});
+    seeds.push_back({u, v});
+  }
+  for (VertexId v = 0; v < g.order(); ++v) {
+    if (g.degree(v) == 0) {
+      seeds.push_back({v});
+      break;
+    }
+  }
+  return seeds;
+}
+
+void expect_same_paraclique(const Paraclique& expected,
+                            const Paraclique& actual) {
+  EXPECT_EQ(actual.members, expected.members);
+  EXPECT_EQ(actual.seed_size, expected.seed_size);
+  EXPECT_EQ(actual.density, expected.density);
+}
+
+TEST(ParacliqueOracle, IncrementalGlomMatchesFullScan) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("analysis_oracle_" + std::to_string(::getpid()) + ".gsbg"))
+          .string();
+  std::size_t grown = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Graph base = seed % 2 == 0 ? near_clique_modules(seed)
+                                     : test::random_graph(48, 0.3, seed);
+    const Graph g = with_isolated(base, seed).graph;
+    storage::write_gsbg_file(g, path);
+    const auto mapped = storage::MappedGraph::open(path);
+    for (const Clique& clique : oracle_seeds(g)) {
+      for (std::size_t glom = 0; glom <= 2; ++glom) {
+        for (std::size_t rounds = 0; rounds <= 2; ++rounds) {
+          SCOPED_TRACE("graph seed " + std::to_string(seed) + ", glom " +
+                       std::to_string(glom) + ", max_rounds " +
+                       std::to_string(rounds) + ", seed size " +
+                       std::to_string(clique.size()));
+          const ParacliqueOptions options{glom, rounds};
+          const auto expected = reference_grow(g, clique, options);
+          expect_same_paraclique(expected, grow_paraclique(g, clique, options));
+          expect_same_paraclique(expected,
+                                 grow_paraclique(mapped.view(), clique, options));
+          if (expected.members.size() > clique.size()) ++grown;
+        }
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  // The sweep must exercise growth, not only fixed points.
+  EXPECT_GT(grown, 100u);
+}
+
+TEST(Paraclique, ExtractAllIgnoresIsolatedVertices) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("graph seed " + std::to_string(seed));
+    const Graph base = seed % 2 == 0 ? near_clique_modules(seed)
+                                     : test::random_graph(48, 0.3, seed);
+    const auto spread = with_isolated(base, seed + 100);
+    const auto expected = extract_all_paracliques(base, 3, {1, 0});
+    const auto actual = extract_all_paracliques(spread.graph, 3, {1, 0});
+    ASSERT_EQ(actual.size(), expected.size());
+    ASSERT_FALSE(expected.empty());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      Clique relabelled;
+      for (const VertexId v : expected[i].members) {
+        relabelled.push_back(spread.id[v]);
+      }
+      EXPECT_EQ(actual[i].members, relabelled) << "paraclique " << i;
+      EXPECT_EQ(actual[i].seed_size, expected[i].seed_size);
+      EXPECT_EQ(actual[i].density, expected[i].density);
+    }
+  }
+}
+
+TEST(Paraclique, ExtractAllStopsBelowAnEdge) {
+  // A seed of one vertex removes no edge; extraction must still end.
+  const Graph g = clique_with_satellite();
+  for (const std::size_t min_size : {0u, 1u, 2u}) {
+    const auto paras = extract_all_paracliques(g, min_size, {1, 0});
+    ASSERT_FALSE(paras.empty());
+    EXPECT_GE(paras.back().members.size(), 2u);
+  }
+  EXPECT_TRUE(extract_all_paracliques(Graph(5), 1, {1, 0}).empty());
+}
+
+/// FNV-1a over each paraclique's size, seed size and members, in
+/// extraction order.
+std::uint64_t paraclique_hash(const std::vector<Paraclique>& paras) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&](std::uint64_t value) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const auto& para : paras) {
+    mix(para.members.size());
+    mix(para.seed_size);
+    for (const VertexId v : para.members) mix(v);
+  }
+  return hash;
+}
+
+// Recorded with the residue restricted to vertices of nonzero degree and
+// the greedy bound's ties broken by ascending id; any change to seed
+// choice, glom order or edge removal moves the hash.
+TEST(ParacliquePin, PlantedModulesMemberHash) {
+  util::Rng rng(2005);
+  graph::ModuleGraphConfig config;
+  config.n = 400;
+  config.num_modules = 24;
+  config.min_module_size = 5;
+  config.max_module_size = 16;
+  config.p_in = 0.9;
+  config.background_edges = 200;
+  const auto mg = graph::planted_modules(config, rng);
+  const auto paras = extract_all_paracliques(mg.graph, 5, {1, 0});
+  EXPECT_EQ(paras.size(), 19u);
+  EXPECT_EQ(paraclique_hash(paras), 8366032632743362473ull);
+  // The pin covers glommed members, not only bare seed cliques.
+  std::size_t glommed = 0;
+  for (const auto& para : paras) glommed += para.members.size() - para.seed_size;
+  EXPECT_GT(glommed, 0u);
 }
 
 TEST(CliqueStats, SpectrumAggregates) {

@@ -46,6 +46,20 @@ TEST(MaxClique, BoundsSandwichOmega) {
   }
 }
 
+TEST(MaxClique, GreedySeedsBreakDegreeTiesByLowestId) {
+  // Thirteen disjoint triangles: every vertex ties at degree 2, enough of
+  // them that an unstable sort would reorder the ties.
+  graph::Graph g(39);
+  for (VertexId t = 0; t < 39; t += 3) {
+    g.add_edge(t, t + 1);
+    g.add_edge(t + 1, t + 2);
+    g.add_edge(t, t + 2);
+  }
+  EXPECT_EQ(greedy_clique_lower_bound(g, 1), (Clique{0, 1, 2}));
+  EXPECT_EQ(greedy_clique_lower_bound(g), (Clique{0, 1, 2}));
+  EXPECT_EQ(maximum_clique(g).clique, (Clique{0, 1, 2}));
+}
+
 TEST(MaxClique, ColoringOfBipartiteIsTwo) {
   graph::Graph bipartite(10);
   for (VertexId u = 0; u < 5; ++u) {

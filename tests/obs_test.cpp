@@ -46,6 +46,10 @@ const MetricSnapshot* find_metric(const RegistrySnapshot& snapshot,
   }
   return nullptr;
 }
+// The result points into the snapshot, so the snapshot must outlive it.
+const MetricSnapshot* find_metric(RegistrySnapshot&& snapshot,
+                                  const std::string& name,
+                                  const std::string& labels = {}) = delete;
 
 TEST_F(ObsRegistryTest, CountersMergeAcrossThreads) {
   const Counter counter = registry_.counter("test_total", "help");
@@ -104,8 +108,8 @@ TEST_F(ObsRegistryTest, HistogramBucketBoundaries) {
   histogram.observe_micros(5);   // -> bucket 3 (bound 8)
   const std::uint64_t huge = std::uint64_t{1} << 40;
   histogram.observe_micros(huge);  // -> +Inf overflow
-  const MetricSnapshot* metric =
-      find_metric(registry_.scrape(), "test_micros");
+  const RegistrySnapshot snapshot = registry_.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "test_micros");
   ASSERT_NE(metric, nullptr);
   const HistogramSnapshot& h = metric->histogram;
   EXPECT_EQ(h.buckets[0], 2u);
@@ -163,7 +167,8 @@ TEST_F(ObsRegistryTest, CollectorsRunAtScrapeAndAreRemovable) {
   });
   EXPECT_EQ(find_value(registry_.scrape(), "sampled_gauge"), 7u);
   registry_.remove_collector(id);
-  EXPECT_EQ(find_metric(registry_.scrape(), "sampled_gauge"), nullptr);
+  const RegistrySnapshot after_removal = registry_.scrape();
+  EXPECT_EQ(find_metric(after_removal, "sampled_gauge"), nullptr);
 }
 
 TEST_F(ObsRegistryTest, ResetZeroesEverything) {
@@ -390,7 +395,8 @@ TEST(HistogramQuantile, SingleBucketInterpolates) {
   registry.set_enabled(true);
   const Histogram h = registry.histogram("q_micros", "help");
   for (int i = 0; i < 100; ++i) h.observe_micros(3);  // bucket (2, 4]
-  const MetricSnapshot* metric = find_metric(registry.scrape(), "q_micros");
+  const RegistrySnapshot snapshot = registry.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "q_micros");
   ASSERT_NE(metric, nullptr);
   const std::uint64_t p50 = histogram_quantile_micros(metric->histogram, 0.5);
   const std::uint64_t p99 = histogram_quantile_micros(metric->histogram, 0.99);
@@ -405,7 +411,8 @@ TEST(HistogramQuantile, SpreadAcrossBucketsIsMonotone) {
   registry.set_enabled(true);
   const Histogram h = registry.histogram("q2_micros", "help");
   for (std::uint64_t v : {1u, 10u, 100u, 1000u, 10000u}) h.observe_micros(v);
-  const MetricSnapshot* metric = find_metric(registry.scrape(), "q2_micros");
+  const RegistrySnapshot snapshot = registry.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "q2_micros");
   ASSERT_NE(metric, nullptr);
   std::uint64_t previous = 0;
   for (double q : {0.0, 0.25, 0.5, 0.75, 0.99, 1.0}) {

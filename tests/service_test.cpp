@@ -561,25 +561,35 @@ TEST(Serve, StreamStatsLineCarriesUptimeAndRss) {
   const auto a = make_artifacts(24, 0.3, 37, "service_stream_stats");
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
-  std::istringstream in("stats\nshutdown\n");
-  std::ostringstream out;
-  serve_stream(entry, in, out, {});
-  const std::string output = out.str();
-  EXPECT_NE(output.find("ok stats: requests="), std::string::npos) << output;
-  EXPECT_NE(output.find(" uptime_seconds="), std::string::npos) << output;
-  EXPECT_NE(output.find(" rss_bytes="), std::string::npos) << output;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::istringstream in("stats\nshutdown\n");
+    std::ostringstream out;
+    ServeOptions options;
+    options.threads = threads;
+    serve_stream(entry, in, out, options);
+    const std::string output = out.str();
+    EXPECT_NE(output.find("ok stats: requests="), std::string::npos) << output;
+    EXPECT_NE(output.find(" uptime_seconds="), std::string::npos) << output;
+    EXPECT_NE(output.find(" rss_bytes="), std::string::npos) << output;
+  }
 }
 
 TEST(Serve, MetricsRequestIsRejectedWhenDisabled) {
   const auto a = make_artifacts(24, 0.3, 53, "service_stream_obs_off");
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
-  std::istringstream in("metrics\nshutdown\n");
-  std::ostringstream out;
-  serve_stream(entry, in, out, {});
-  EXPECT_NE(out.str().find("error: metrics disabled (serve with --metrics)"),
-            std::string::npos)
-      << out.str();
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::istringstream in("metrics\nshutdown\n");
+    std::ostringstream out;
+    ServeOptions options;
+    options.threads = threads;
+    serve_stream(entry, in, out, options);
+    EXPECT_NE(out.str().find("error: metrics disabled (serve with --metrics)"),
+              std::string::npos)
+        << out.str();
+  }
 }
 
 TEST(Serve, MetricsRequestRendersPromOverStream) {
@@ -587,23 +597,29 @@ TEST(Serve, MetricsRequestRendersPromOverStream) {
   const auto a = make_artifacts(24, 0.3, 59, "service_stream_obs_on");
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
-  std::istringstream in("degree 1\nmetrics\nmetrics json\nshutdown\n");
-  std::ostringstream out;
-  serve_stream(entry, in, out, {});
-  std::istringstream lines(out.str());
-  std::string degree_line, prom_line, json_line;
-  std::getline(lines, degree_line);
-  std::getline(lines, prom_line);
-  std::getline(lines, json_line);
-  ASSERT_TRUE(prom_line.starts_with("ok metrics prom ")) << prom_line;
-  const std::string text =
-      obs::unescape_multiline(prom_line.substr(sizeof("ok metrics prom ") - 1));
-  EXPECT_NE(text.find("# TYPE gsb_requests_total counter"), std::string::npos);
-  EXPECT_NE(text.find("gsb_requests_total{transport=\"stream\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  ASSERT_TRUE(json_line.starts_with("ok metrics json {")) << json_line;
-  EXPECT_NE(json_line.find("\"counters\""), std::string::npos);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::istringstream in("degree 1\nmetrics\nmetrics json\nshutdown\n");
+    std::ostringstream out;
+    ServeOptions options;
+    options.threads = threads;
+    serve_stream(entry, in, out, options);
+    std::istringstream lines(out.str());
+    std::string degree_line, prom_line, json_line;
+    std::getline(lines, degree_line);
+    std::getline(lines, prom_line);
+    std::getline(lines, json_line);
+    ASSERT_TRUE(prom_line.starts_with("ok metrics prom ")) << prom_line;
+    const std::string text = obs::unescape_multiline(
+        prom_line.substr(sizeof("ok metrics prom ") - 1));
+    EXPECT_NE(text.find("# TYPE gsb_requests_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("gsb_requests_total{transport=\"stream\"}"),
+              std::string::npos);
+    EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
+    ASSERT_TRUE(json_line.starts_with("ok metrics json {")) << json_line;
+    EXPECT_NE(json_line.find("\"counters\""), std::string::npos);
+  }
 }
 
 TEST(Serve, ProfileCapturesBoundedWindowOverStream) {
@@ -911,40 +927,46 @@ TEST(Serve, UnixSocketAnswersMetricsRequests) {
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(a));
   const std::string socket_path = temp_path("service_socket_obs.sock");
-  std::remove(socket_path.c_str());
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::remove(socket_path.c_str());
+    ServeOptions options;
+    options.threads = threads;
+    SocketServer unix_server(entry, Listener::unix_socket(socket_path),
+                             options);
+    ServeStats stats;
+    std::thread server([&] { stats = unix_server.serve(); });
+    const int fd = connect_unix_retrying(socket_path);
+    ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
+    const std::string request =
+        "degree 2\nmetrics prom\nmetrics json\nshutdown\n";
+    ASSERT_EQ(::write(fd, request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+    std::string response;
+    char chunk[4096];
+    while (true) {
+      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+      if (n <= 0) break;
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    server.join();
 
-  SocketServer unix_server(entry, Listener::unix_socket(socket_path), {});
-  ServeStats stats;
-  std::thread server([&] { stats = unix_server.serve(); });
-  const int fd = connect_unix_retrying(socket_path);
-  ASSERT_GE(fd, 0) << "could not connect to " << socket_path;
-  const std::string request = "degree 2\nmetrics prom\nmetrics json\nshutdown\n";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char chunk[4096];
-  while (true) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    response.append(chunk, static_cast<std::size_t>(n));
+    std::istringstream lines(response);
+    std::string degree_line, prom_line, json_line;
+    std::getline(lines, degree_line);
+    std::getline(lines, prom_line);
+    std::getline(lines, json_line);
+    ASSERT_TRUE(prom_line.starts_with("ok metrics prom ")) << prom_line;
+    const std::string text = obs::unescape_multiline(
+        prom_line.substr(sizeof("ok metrics prom ") - 1));
+    EXPECT_NE(text.find("gsb_requests_total{transport=\"unix\"}"),
+              std::string::npos);
+    EXPECT_NE(text.find("gsb_socket_write_microseconds_bucket"),
+              std::string::npos);
+    ASSERT_TRUE(json_line.starts_with("ok metrics json {")) << json_line;
+    EXPECT_TRUE(stats.shutdown_requested);
   }
-  ::close(fd);
-  server.join();
-
-  std::istringstream lines(response);
-  std::string degree_line, prom_line, json_line;
-  std::getline(lines, degree_line);
-  std::getline(lines, prom_line);
-  std::getline(lines, json_line);
-  ASSERT_TRUE(prom_line.starts_with("ok metrics prom ")) << prom_line;
-  const std::string text =
-      obs::unescape_multiline(prom_line.substr(sizeof("ok metrics prom ") - 1));
-  EXPECT_NE(text.find("gsb_requests_total{transport=\"unix\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("gsb_socket_write_microseconds_bucket"),
-            std::string::npos);
-  ASSERT_TRUE(json_line.starts_with("ok metrics json {")) << json_line;
-  EXPECT_TRUE(stats.shutdown_requested);
 }
 #endif  // GSB_TEST_UNIX_SOCKETS
 

@@ -8,6 +8,10 @@
 //     baseline, kept as the reference);
 //   * blocked all-pairs sweep at 1/2/4/8 threads (the shared
 //     register-tiled kernel both builders call);
+//   * the exact integer Spearman sweep (pmaddwd rank kernel) at 1 and 4
+//     threads, including the pipeline's 8000 x 300 shape;
+//   * quantile normalization of the pipeline's 8000 x 300 matrix at 1 and
+//     4 threads;
 //   * the full in-memory graph build (standardize + sweep + bitmap graph);
 //   * the tiled out-of-core .gsbg build at 1/2/4/8 threads (kernel plus
 //     scratch/spill I/O).
@@ -41,7 +45,8 @@ namespace fs = std::filesystem;
 constexpr double kThreshold = 0.85;
 
 struct Fixture {
-  gsb::bio::ExpressionMatrix expression;
+  gsb::bio::ExpressionMatrix raw;         // as generated, before normalizing
+  gsb::bio::ExpressionMatrix expression;  // quantile-normalized
   gsb::bio::StandardizedRows rows;  // Spearman-standardized once, not timed
 };
 
@@ -58,6 +63,7 @@ const Fixture& fixture(std::size_t genes, std::size_t samples) {
     config.samples = samples;
     config.modules = genes / 40 + 1;
     auto data = gsb::bio::generate_microarray(config, rng);
+    slot->raw = data.expression;
     gsb::bio::quantile_normalize(data.expression);
     slot->expression = std::move(data.expression);
     slot->rows = gsb::bio::standardize_rows(
@@ -129,9 +135,63 @@ BENCHMARK(BM_AllPairsBlocked)
     ->Args({2048, 64, 1})
     ->Args({2048, 64, 2})
     ->Args({2048, 64, 4})
-    ->Args({2048, 64, 8});
+    ->Args({2048, 64, 8})
+    ->Args({8000, 300, 4});
 
-/// Full in-memory build: standardization + blocked sweep + bitmap graph.
+/// The exact integer Spearman sweep over the same rows, threads in arg 2.
+void BM_AllPairsRankInt(benchmark::State& state) {
+  const auto genes = static_cast<std::size_t>(state.range(0));
+  const auto samples = static_cast<std::size_t>(state.range(1));
+  const auto threads = static_cast<std::size_t>(state.range(2));
+  const Fixture& f = fixture(genes, samples);
+  std::optional<gsb::par::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  gsb::bio::CorrSweepOptions options;
+  options.pool = pool ? &*pool : nullptr;
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    edges = 0;
+    gsb::bio::rank_correlation_self(
+        f.rows, genes, kThreshold, options,
+        [&](std::uint32_t, std::uint32_t, double) { ++edges; });
+    benchmark::DoNotOptimize(edges);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      static_cast<double>(state.iterations()) * pairs_of(genes)));
+  state.counters["edges"] = static_cast<double>(edges);
+}
+BENCHMARK(BM_AllPairsRankInt)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Args({2048, 64, 1})
+    ->Args({2048, 64, 4})
+    ->Args({8000, 300, 1})
+    ->Args({8000, 300, 4});
+
+/// Quantile normalization of the pipeline's 8000 x 300 matrix, threads in
+/// arg 0 (the copy of the raw matrix is not timed).
+void BM_QuantileNormalize(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const Fixture& f = fixture(8000, 300);
+  gsb::bio::ExpressionMatrix matrix;
+  for (auto _ : state) {
+    state.PauseTiming();
+    matrix = f.raw;
+    state.ResumeTiming();
+    gsb::bio::quantile_normalize(matrix, threads);
+    benchmark::DoNotOptimize(matrix.at(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * f.raw.genes() * f.raw.samples()));
+}
+BENCHMARK(BM_QuantileNormalize)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Arg(1)
+    ->Arg(4);
+
+/// Full in-memory build: standardization + sweep (the integer one, since
+/// the fixture is Spearman) + bitmap graph.
 void BM_InMemoryGraphBuild(benchmark::State& state) {
   const auto genes = static_cast<std::size_t>(state.range(0));
   const auto samples = static_cast<std::size_t>(state.range(1));

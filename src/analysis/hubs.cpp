@@ -1,6 +1,7 @@
 #include "analysis/hubs.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 #include "analysis/clique_stats.h"
@@ -20,15 +21,20 @@ std::vector<HubReport> top_hubs(const graph::GraphView& g,
   for (graph::VertexId v = 0; v < g.order(); ++v) {
     reports[v] = HubReport{v, g.degree(v), participation[v]};
   }
-  std::sort(reports.begin(), reports.end(),
-            [](const HubReport& a, const HubReport& b) {
-              if (a.degree != b.degree) return a.degree > b.degree;
-              if (a.clique_participation != b.clique_participation) {
-                return a.clique_participation > b.clique_participation;
-              }
-              return a.vertex < b.vertex;
-            });
-  reports.resize(std::min(count, reports.size()));
+  // (degree desc, participation desc, id asc) is a strict total order, so
+  // the first k of a partial sort are exactly the first k of a full one.
+  const auto top = reports.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(count, reports.size()));
+  std::partial_sort(reports.begin(), top, reports.end(),
+                    [](const HubReport& a, const HubReport& b) {
+                      if (a.degree != b.degree) return a.degree > b.degree;
+                      if (a.clique_participation != b.clique_participation) {
+                        return a.clique_participation >
+                               b.clique_participation;
+                      }
+                      return a.vertex < b.vertex;
+                    });
+  reports.erase(top, reports.end());
   return reports;
 }
 

@@ -1,9 +1,14 @@
 #include "bio/corr_kernel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "obs/metrics.h"
 #include "parallel/job_graph.h"
@@ -168,7 +173,196 @@ void compute_block_scalar(const double* a_rows, std::size_t a_count,
 
 #endif  // GSB_CORR_VECTOR_KERNEL
 
+// ---------------------------------------------------------------------------
+// Exact integer kernel for the Spearman sweep, over RankRows' tiled panel.
+// A pmaddwd of a broadcast (a_i[2p], a_i[2p+1]) pair against half a tile
+// line yields a_i·b_j over that sample pair for eight rows j at once.
+// Integer addition is associative, so the order of the sums is free and
+// every flavour returns the same exact dot products.
+
+constexpr std::size_t kRankTile = RankRows::kTile;
+
+/// Where row g's pair 0 sits; its pair p is kRankTile int32 further on.
+const std::int32_t* rank_row(const RankRows& ranks, std::size_t g) {
+  return ranks.pair_data() + (g / kRankTile) * ranks.pairs() * kRankTile +
+         g % kRankTile;
+}
+
+/// Copies the columns [j0, j0 + cj) that B tile t holds from its dot
+/// products \p tile (kRankTile of them) into \p out, whose column 0 is
+/// row j0.
+void store_tile_columns(const std::int32_t* tile, std::size_t t,
+                        std::size_t j0, std::size_t cj, std::int32_t* out) {
+  const std::size_t first = std::max(j0, t * kRankTile);
+  const std::size_t last = std::min(j0 + cj, (t + 1) * kRankTile);
+  std::memcpy(out + (first - j0), tile + (first - t * kRankTile),
+              (last - first) * sizeof(std::int32_t));
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define GSB_RANK_AVX2_KERNEL 1
+/// kIRows A rows against each B tile covering [j0, j0 + cj): 2·kIRows
+/// ymm accumulators, two tile-line loads and kIRows broadcasts per sample
+/// pair.
+template <std::size_t kIRows>
+__attribute__((target("avx2"))) inline void rank_rows_avx2(
+    const RankRows& ranks, const std::int32_t* const* a, std::size_t j0,
+    std::size_t cj, std::int32_t* out, std::size_t out_stride) {
+  const std::size_t pairs = ranks.pairs();
+  for (std::size_t t = j0 / kRankTile; t * kRankTile < j0 + cj; ++t) {
+    __m256i acc[kIRows][2];
+    for (std::size_t r = 0; r < kIRows; ++r) {
+      acc[r][0] = _mm256_setzero_si256();
+      acc[r][1] = _mm256_setzero_si256();
+    }
+    const std::int32_t* tile = ranks.pair_data() + t * pairs * kRankTile;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const auto* b = reinterpret_cast<const __m256i*>(tile + p * kRankTile);
+      const __m256i b0 = _mm256_load_si256(b);
+      const __m256i b1 = _mm256_load_si256(b + 1);
+      for (std::size_t r = 0; r < kIRows; ++r) {
+        const __m256i av = _mm256_set1_epi32(a[r][p * kRankTile]);
+        acc[r][0] = _mm256_add_epi32(acc[r][0], _mm256_madd_epi16(av, b0));
+        acc[r][1] = _mm256_add_epi32(acc[r][1], _mm256_madd_epi16(av, b1));
+      }
+    }
+    for (std::size_t r = 0; r < kIRows; ++r) {
+      alignas(32) std::int32_t dots[kRankTile];
+      _mm256_store_si256(reinterpret_cast<__m256i*>(dots), acc[r][0]);
+      _mm256_store_si256(reinterpret_cast<__m256i*>(dots + 8), acc[r][1]);
+      store_tile_columns(dots, t, j0, cj, out + r * out_stride);
+    }
+  }
+}
+
+__attribute__((target("avx2"))) void rank_block_avx2(
+    const RankRows& ranks, std::size_t i0, std::size_t ci, std::size_t j0,
+    std::size_t cj, std::int32_t* out, std::size_t out_stride) {
+  constexpr std::size_t kIRows = 4;
+  std::size_t i = 0;
+  for (; i + kIRows <= ci; i += kIRows) {
+    const std::int32_t* a[kIRows];
+    for (std::size_t r = 0; r < kIRows; ++r) a[r] = rank_row(ranks, i0 + i + r);
+    rank_rows_avx2<kIRows>(ranks, a, j0, cj, out + i * out_stride, out_stride);
+  }
+  for (; i < ci; ++i) {
+    const std::int32_t* a[1] = {rank_row(ranks, i0 + i)};
+    rank_rows_avx2<1>(ranks, a, j0, cj, out + i * out_stride, out_stride);
+  }
+}
+#endif  // x86
+
+/// Work item of a block-pair sweep: the A block at row i0 against the B
+/// block at row j0.
+struct BlockPair {
+  std::size_t i0;
+  std::size_t j0;
+};
+
+/// One thresholded pair, buffered until its block pair's turn to emit.
+struct Hit {
+  std::uint32_t u;
+  std::uint32_t v;
+  double corr;
+};
+
+/// The block pairs of a sweep in emission order (only the upper triangle
+/// when \p diagonal), counted in the sweep metrics.
+std::vector<BlockPair> block_pairs(std::size_t a_count, std::size_t b_count,
+                                   std::size_t block, bool diagonal) {
+  std::vector<BlockPair> tasks;
+  for (std::size_t i0 = 0; i0 < a_count; i0 += block) {
+    for (std::size_t j0 = diagonal ? i0 : 0; j0 < b_count; j0 += block) {
+      tasks.push_back(BlockPair{i0, j0});
+    }
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  static const obs::Counter sweeps = registry.counter(
+      "gsb_correlation_sweeps_total", "Blocked correlation sweeps run.");
+  static const obs::Counter blocks = registry.counter(
+      "gsb_correlation_blocks_total",
+      "Correlation tile blocks computed across sweeps.");
+  sweeps.inc();
+  blocks.inc(tasks.size());
+  return tasks;
+}
+
+/// Runs `scan(task, scratch, hits)` for every block pair and feeds each
+/// pair's hits to the sink in task order.  On a pool the scans run as
+/// scheduler jobs (work-stealing, per-worker Scratch) while ordered
+/// completions replay each task's hits in task order, so the sink sees the
+/// exact sequence of the sequential path.
+template <typename Scratch, typename Scan>
+void run_sweep(const std::vector<BlockPair>& tasks, par::ThreadPool* pool,
+               const Scan& scan, const CorrEdgeSink& sink) {
+  if (pool == nullptr || pool->size() <= 1 || tasks.size() <= 1) {
+    Scratch scratch;
+    std::vector<Hit> hits;
+    for (const BlockPair& task : tasks) {
+      hits.clear();
+      scan(task, scratch, hits);
+      for (const Hit& h : hits) sink(h.u, h.v, h.corr);
+    }
+    return;
+  }
+  par::JobGraph::Options graph_options;
+  graph_options.ordered = true;
+  par::JobGraph jobs(pool, graph_options);
+  std::vector<Scratch> scratch(jobs.workers());
+  std::vector<std::vector<Hit>> completed(tasks.size());
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    par::JobGraph::JobSpec spec;
+    spec.run = [&, t](std::size_t wid) {
+      std::vector<Hit> hits;
+      scan(tasks[t], scratch[wid], hits);
+      jobs.set_bytes(static_cast<par::JobId>(t), hits.size() * sizeof(Hit));
+      completed[t] = std::move(hits);
+    };
+    spec.complete = [&, t] {
+      for (const Hit& h : completed[t]) sink(h.u, h.v, h.corr);
+      completed[t] = {};
+    };
+    jobs.add(std::move(spec));
+  }
+  jobs.run();
+}
+
 }  // namespace
+
+void rank_block_portable(const RankRows& ranks, std::size_t i0,
+                         std::size_t ci, std::size_t j0, std::size_t cj,
+                         std::int32_t* out, std::size_t out_stride) {
+  const std::size_t pairs = ranks.pairs();
+  for (std::size_t i = 0; i < ci; ++i) {
+    const std::int32_t* a = rank_row(ranks, i0 + i);
+    for (std::size_t j = 0; j < cj; ++j) {
+      const std::int32_t* b = rank_row(ranks, j0 + j);
+      std::int32_t total = 0;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        std::int16_t x[2];
+        std::int16_t y[2];
+        std::memcpy(x, a + p * kRankTile, sizeof(x));
+        std::memcpy(y, b + p * kRankTile, sizeof(y));
+        total += std::int32_t{x[0]} * y[0] + std::int32_t{x[1]} * y[1];
+      }
+      out[i * out_stride + j] = total;
+    }
+  }
+}
+
+void rank_block(const RankRows& ranks, std::size_t i0, std::size_t ci,
+                std::size_t j0, std::size_t cj, std::int32_t* out,
+                std::size_t out_stride) {
+  if (ci == 0 || cj == 0) return;
+#if defined(GSB_RANK_AVX2_KERNEL)
+  static const bool have_avx2 = __builtin_cpu_supports("avx2") != 0;
+  if (have_avx2) {
+    rank_block_avx2(ranks, i0, ci, j0, cj, out, out_stride);
+    return;
+  }
+#endif
+  rank_block_portable(ranks, i0, ci, j0, cj, out, out_stride);
+}
 
 void correlation_block(const double* a_rows, std::size_t a_count,
                        const double* b_rows, std::size_t b_count,
@@ -225,45 +419,23 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
   const std::size_t samples = a.samples();
   const std::size_t block =
       options.block == 0 ? kDefaultCorrBlock : options.block;
-
-  struct Task {
-    std::size_t i0;
-    std::size_t j0;
+  struct Scratch {
+    std::vector<double> dense;
+    std::vector<double> pack;
   };
-  std::vector<Task> tasks;
-  for (std::size_t i0 = 0; i0 < a_count; i0 += block) {
-    for (std::size_t j0 = diagonal ? i0 : 0; j0 < b_count; j0 += block) {
-      tasks.push_back(Task{i0, j0});
-    }
-  }
-  {
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    static const obs::Counter sweeps = registry.counter(
-        "gsb_correlation_sweeps_total", "Blocked correlation sweeps run.");
-    static const obs::Counter blocks = registry.counter(
-        "gsb_correlation_blocks_total",
-        "Correlation tile blocks computed across sweeps.");
-    sweeps.inc();
-    blocks.inc(tasks.size());
-  }
-
-  struct Hit {
-    std::uint32_t u;
-    std::uint32_t v;
-    double corr;
-  };
-  auto scan_task = [&](const Task& task, std::vector<double>& dense,
-                       std::vector<double>& pack, std::vector<Hit>& hits) {
+  auto scan = [&](const BlockPair& task, Scratch& scratch,
+                  std::vector<Hit>& hits) {
     const std::size_t ci = std::min(block, a_count - task.i0);
     const std::size_t cj = std::min(block, b_count - task.j0);
-    dense.resize(ci * cj);
+    scratch.dense.resize(ci * cj);
     correlation_block(a.row(task.i0), ci, b.row(task.j0), cj, samples,
-                      a.stride(), b.stride(), dense.data(), cj, pack);
+                      a.stride(), b.stride(), scratch.dense.data(), cj,
+                      scratch.pack);
     for (std::size_t i = 0; i < ci; ++i) {
       if (a_valid != nullptr && a_valid[task.i0 + i] == 0) continue;
       // On a diagonal block pair only pairs above the diagonal are new.
       std::size_t j = diagonal && task.j0 == task.i0 ? i + 1 : 0;
-      const double* row = dense.data() + i * cj;
+      const double* row = scratch.dense.data() + i * cj;
       for (; j < cj; ++j) {
         if (b_valid != nullptr && b_valid[task.j0 + j] == 0) continue;
         const double corr = row[j];
@@ -275,48 +447,8 @@ void correlation_cross(const AlignedRows& a, std::size_t a_count,
       }
     }
   };
-
-  par::ThreadPool* pool = options.pool;
-  if (pool == nullptr || pool->size() <= 1 || tasks.size() <= 1) {
-    std::vector<double> dense;
-    std::vector<double> pack;
-    std::vector<Hit> hits;
-    for (const Task& task : tasks) {
-      hits.clear();
-      scan_task(task, dense, pack, hits);
-      for (const Hit& h : hits) sink(h.u, h.v, h.corr);
-    }
-    return;
-  }
-
-  // One scheduler job per tile; bodies run work-stealing across the
-  // pool while the ordered completions replay each tile's hits in task
-  // order, so the sink sees the exact sequence of the sequential path.
-  par::JobGraph::Options graph_options;
-  graph_options.ordered = true;
-  par::JobGraph jobs(pool, graph_options);
-  struct Scratch {
-    std::vector<double> dense;
-    std::vector<double> pack;
-  };
-  std::vector<Scratch> scratch(jobs.workers());
-  std::vector<std::vector<Hit>> completed(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    par::JobGraph::JobSpec spec;
-    spec.run = [&, t](std::size_t wid) {
-      Scratch& s = scratch[wid];
-      std::vector<Hit> hits;
-      scan_task(tasks[t], s.dense, s.pack, hits);
-      jobs.set_bytes(static_cast<par::JobId>(t), hits.size() * sizeof(Hit));
-      completed[t] = std::move(hits);
-    };
-    spec.complete = [&, t] {
-      for (const Hit& h : completed[t]) sink(h.u, h.v, h.corr);
-      completed[t] = {};
-    };
-    jobs.add(std::move(spec));
-  }
-  jobs.run();
+  run_sweep<Scratch>(block_pairs(a_count, b_count, block, diagonal),
+                     options.pool, scan, sink);
 }
 
 void correlation_self(const AlignedRows& rows, std::size_t count,
@@ -327,18 +459,116 @@ void correlation_self(const AlignedRows& rows, std::size_t count,
                     /*diagonal=*/true, threshold, options, sink);
 }
 
-StandardizedRows standardize_rows(const ExpressionMatrix& expression,
-                                  CorrelationMethod method) {
-  StandardizedRows out{
-      AlignedRows(expression.genes(), expression.samples()),
-      std::vector<unsigned char>(expression.genes(), 0)};
-  StandardizeScratch scratch;
-  for (std::size_t g = 0; g < expression.genes(); ++g) {
-    out.valid[g] = standardized_profile_into(expression.row(g), method,
-                                             out.rows.row(g), scratch)
-                       ? 1
-                       : 0;
+std::uint64_t rank_correlation_self(const StandardizedRows& rows,
+                                    std::size_t count, double threshold,
+                                    const CorrSweepOptions& options,
+                                    const CorrEdgeSink& sink) {
+  const RankRows& ranks = rows.ranks;
+  if (ranks.empty()) {
+    throw std::invalid_argument("rank_correlation_self: no rank profiles");
   }
+  const std::size_t samples = rows.rows.samples();
+  const std::size_t block =
+      options.block == 0 ? kDefaultCorrBlock : options.block;
+  const double lo = threshold - kRankBand;
+  const double hi = threshold + kRankBand;
+  std::atomic<std::uint64_t> band{0};
+  struct Scratch {
+    std::vector<std::int32_t> dense;
+    std::vector<unsigned char> keep;
+  };
+  auto scan = [&](const BlockPair& task, Scratch& scratch,
+                  std::vector<Hit>& hits) {
+    const std::size_t ci = std::min(block, count - task.i0);
+    const std::size_t cj = std::min(block, count - task.j0);
+    scratch.dense.resize(ci * cj);
+    scratch.keep.resize(cj);
+    rank_block(ranks, task.i0, ci, task.j0, cj, scratch.dense.data(), cj);
+    const double* inv_j = ranks.inv_data() + task.j0;
+    std::uint64_t in_band = 0;
+    for (std::size_t i = 0; i < ci; ++i) {
+      const std::size_t gi = task.i0 + i;
+      if (rows.valid[gi] == 0) continue;
+      const double inv_i = ranks.inv(gi);
+      const std::int32_t* dots = scratch.dense.data() + i * cj;
+      // Branch-free first pass (it vectorizes): which pairs reach the
+      // band.  A NaN threshold keeps none, as the double sweep emits none;
+      // constant rows have inv 0.
+      bool any = false;
+      for (std::size_t j = 0; j < cj; ++j) {
+        const double r =
+            std::fabs(static_cast<double>(dots[j])) * inv_i * inv_j[j];
+        scratch.keep[j] = r >= lo;
+        any |= r >= lo;
+      }
+      if (!any) continue;
+      // On a diagonal block pair only pairs above the diagonal are new.
+      for (std::size_t j = task.j0 == task.i0 ? i + 1 : 0; j < cj; ++j) {
+        const std::size_t gj = task.j0 + j;
+        if (scratch.keep[j] == 0 || rows.valid[gj] == 0) continue;
+        const double r =
+            std::fabs(static_cast<double>(dots[j])) * inv_i * inv_j[j];
+        double corr = dots[j] < 0 ? -r : r;
+        if (!(r >= hi)) {
+          // Too close to call from the integer side: take the double
+          // sweep's own decision.
+          ++in_band;
+          corr = profile_dot(rows.rows.row(gi), rows.rows.row(gj), samples);
+          if (!(std::fabs(corr) >= threshold)) continue;
+        }
+        hits.push_back(Hit{static_cast<std::uint32_t>(gi),
+                           static_cast<std::uint32_t>(gj), corr});
+      }
+    }
+    if (in_band != 0) band.fetch_add(in_band, std::memory_order_relaxed);
+  };
+  run_sweep<Scratch>(block_pairs(count, count, block, /*diagonal=*/true),
+                     options.pool, scan, sink);
+  return band.load();
+}
+
+StandardizedRows standardize_rows(const ExpressionMatrix& expression,
+                                  CorrelationMethod method,
+                                  par::ThreadPool* pool) {
+  const std::size_t genes = expression.genes();
+  const std::size_t samples = expression.samples();
+  StandardizedRows out{AlignedRows(genes, samples),
+                       std::vector<unsigned char>(genes, 0), RankRows()};
+  if (method == CorrelationMethod::kSpearman && samples >= 1 &&
+      samples <= kMaxRankSamples) {
+    out.ranks = RankRows(genes, samples);
+  }
+  RankRows& ranks = out.ranks;
+  constexpr std::size_t kGenesPerJob = 256;
+  struct Scratch {
+    StandardizeScratch standardize;
+    std::vector<std::int16_t> lanes;
+  };
+  std::vector<Scratch> scratch(par::job_workers(pool));
+  par::run_jobs(
+      pool, (genes + kGenesPerJob - 1) / kGenesPerJob,
+      [&](std::size_t job, std::size_t worker) {
+        Scratch& s = scratch[worker];
+        const std::size_t last = std::min(genes, (job + 1) * kGenesPerJob);
+        for (std::size_t g = job * kGenesPerJob; g < last; ++g) {
+          out.valid[g] = standardized_profile_into(expression.row(g), method,
+                                                   out.rows.row(g),
+                                                   s.standardize)
+                             ? 1
+                             : 0;
+          if (ranks.empty()) continue;
+          // s.standardize.ranks still holds this row's midranks:
+          // half-integers whose doubled, centred value is an exact integer
+          // in ±(S−1).
+          s.lanes.assign(2 * ranks.pairs(), 0);
+          const double centre = static_cast<double>(samples + 1);
+          for (std::size_t k = 0; k < samples; ++k) {
+            s.lanes[k] = static_cast<std::int16_t>(
+                2.0 * s.standardize.ranks[k] - centre);
+          }
+          ranks.set_row(g, s.lanes.data());
+        }
+      });
   return out;
 }
 

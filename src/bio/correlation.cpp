@@ -1,12 +1,12 @@
 #include "bio/correlation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "bio/corr_kernel.h"
+#include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
 #include "util/stats.h"
 
@@ -116,7 +116,11 @@ CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
   const std::size_t genes = expression.genes();
   CorrelationMatrix out(genes);
   if (genes == 0) return out;
-  const StandardizedRows rows = standardize_rows(expression, method);
+  const std::size_t workers = resolve_threads(threads);
+  std::optional<par::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  par::ThreadPool* const shared = pool ? &*pool : nullptr;
+  const StandardizedRows rows = standardize_rows(expression, method, shared);
   const std::size_t samples = expression.samples();
   const std::size_t block = kDefaultCorrBlock;
 
@@ -133,14 +137,22 @@ CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
       tasks.push_back(Task{i0, j0});
     }
   }
-  auto fill_task = [&](const Task& task, std::vector<double>& dense,
-                       std::vector<double>& pack) {
+  // One job per block pair.  Each owns a disjoint set of (i, j) cells
+  // (and their mirrors), so workers write without synchronization.
+  struct Scratch {
+    std::vector<double> dense;
+    std::vector<double> pack;
+  };
+  std::vector<Scratch> scratch(par::job_workers(shared));
+  par::run_jobs(shared, tasks.size(), [&](std::size_t t, std::size_t worker) {
+    const Task& task = tasks[t];
+    std::vector<double>& dense = scratch[worker].dense;
     const std::size_t ci = std::min(block, genes - task.i0);
     const std::size_t cj = std::min(block, genes - task.j0);
     dense.resize(ci * cj);
     correlation_block(rows.rows.row(task.i0), ci, rows.rows.row(task.j0), cj,
                       samples, rows.rows.stride(), rows.rows.stride(),
-                      dense.data(), cj, pack);
+                      dense.data(), cj, scratch[worker].pack);
     for (std::size_t i = 0; i < ci; ++i) {
       const std::size_t gi = task.i0 + i;
       std::size_t j = task.j0 == task.i0 ? i + 1 : 0;
@@ -148,28 +160,7 @@ CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
         out.set(gi, task.j0 + j, static_cast<float>(dense[i * cj + j]));
       }
     }
-  };
-
-  const std::size_t workers = resolve_threads(threads);
-  if (workers <= 1 || tasks.size() <= 1) {
-    std::vector<double> dense;
-    std::vector<double> pack;
-    for (const Task& task : tasks) fill_task(task, dense, pack);
-  } else {
-    // Each block pair owns a disjoint set of (i, j) cells (and their
-    // mirrors), so workers write without synchronization.
-    par::ThreadPool pool(workers);
-    std::atomic<std::size_t> next{0};
-    pool.run_round([&](std::size_t) {
-      std::vector<double> dense;
-      std::vector<double> pack;
-      while (true) {
-        const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= tasks.size()) return;
-        fill_task(tasks[t], dense, pack);
-      }
-    });
-  }
+  });
   for (std::size_t i = 0; i < genes; ++i) out.set(i, i, 1.0f);
   return out;
 }
@@ -180,7 +171,12 @@ CorrelationGraphResult build_correlation_graph(
   const std::size_t genes = expression.genes();
   CorrelationGraphResult result{graph::Graph(genes), options.threshold};
   if (genes < 2) return result;
-  const StandardizedRows rows = standardize_rows(expression, options.method);
+  const std::size_t workers = resolve_threads(options.threads);
+  std::optional<par::ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  par::ThreadPool* const shared = pool ? &*pool : nullptr;
+  const StandardizedRows rows =
+      standardize_rows(expression, options.method, shared);
   const std::size_t samples = expression.samples();
 
   double threshold = options.threshold;
@@ -214,17 +210,21 @@ CorrelationGraphResult build_correlation_graph(
   }
   result.threshold_used = threshold;
 
-  const std::size_t workers = resolve_threads(options.threads);
-  std::optional<par::ThreadPool> pool;
-  if (workers > 1) pool.emplace(workers);
   CorrSweepOptions sweep;
   sweep.block = options.corr_block;
-  sweep.pool = pool ? &*pool : nullptr;
-  correlation_self(rows.rows, genes, rows.valid.data(), threshold, sweep,
-                   [&](std::uint32_t u, std::uint32_t v, double) {
-                     result.graph.add_edge(static_cast<graph::VertexId>(u),
-                                           static_cast<graph::VertexId>(v));
-                   });
+  sweep.pool = shared;
+  const CorrEdgeSink sink = [&](std::uint32_t u, std::uint32_t v, double) {
+    result.graph.add_edge(static_cast<graph::VertexId>(u),
+                          static_cast<graph::VertexId>(v));
+  };
+  // Spearman profiles of up to kMaxRankSamples samples carry exact integer
+  // ranks: the integer sweep decides the same pairs, faster.
+  if (!rows.ranks.empty()) {
+    rank_correlation_self(rows, genes, threshold, sweep, sink);
+  } else {
+    correlation_self(rows.rows, genes, rows.valid.data(), threshold, sweep,
+                     sink);
+  }
   return result;
 }
 

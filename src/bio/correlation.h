@@ -47,7 +47,8 @@ void midranks_into(std::span<const double> values,
 /// (rank-transforms first for Spearman): mean 0, unit norm, written
 /// directly into \p out (profile.size() doubles — e.g. a destination row
 /// of an AlignedRows block, no staging buffer).  Returns false for
-/// constant profiles, leaving out all-zero.  Every builder goes through
+/// constant profiles, leaving out all-zero.  For Spearman, scratch.ranks
+/// holds the profile's midranks afterwards.  Every builder goes through
 /// this one function, which is what makes their edge sets bit-identical.
 bool standardized_profile_into(std::span<const double> profile,
                                CorrelationMethod method, double* out,
@@ -105,9 +106,9 @@ struct CorrelationGraphOptions {
   std::size_t target_edges = 0;
   /// Pairs sampled for the quantile estimate.
   std::size_t quantile_samples = 200000;
-  /// Worker threads for the blocked correlation sweep: 0 = hardware
-  /// concurrency, 1 = sequential.  The edge set is identical at every
-  /// thread count (see corr_kernel.h's determinism contract).
+  /// Worker threads for standardization and the correlation sweep: 0 =
+  /// hardware concurrency, 1 = sequential.  The edge set is identical at
+  /// every thread count (see corr_kernel.h's determinism contract).
   std::size_t threads = 1;
   /// Rows per cache block in the sweep; 0 = kernel default.
   std::size_t corr_block = 0;
@@ -120,7 +121,9 @@ struct CorrelationGraphResult {
 };
 
 /// Builds the thresholded co-expression graph without materializing the
-/// full correlation matrix.
+/// full correlation matrix.  Spearman with up to kMaxRankSamples samples
+/// runs the exact integer sweep (rank_correlation_self), everything else
+/// the double one; both give the same edges.
 CorrelationGraphResult build_correlation_graph(
     const ExpressionMatrix& expression,
     const CorrelationGraphOptions& options, util::Rng& rng);

@@ -436,7 +436,7 @@ int cmd_pipeline(const util::Cli& cli) {
     std::printf("microarray: %zu probes x %zu arrays, %zu planted modules\n",
                 data.expression.genes(), data.expression.samples(),
                 data.modules.size());
-    bio::quantile_normalize(data.expression);
+    bio::quantile_normalize(data.expression, threads);
 
     const bool spearman = cli.get("method", "spearman") != "pearson";
     if (cli.get_bool("out-of-core", false)) {

@@ -453,4 +453,13 @@ void JobGraph::worker_loop(std::size_t worker) {
   }
 }
 
+void run_jobs(ThreadPool* pool, std::size_t count,
+              const std::function<void(std::size_t, std::size_t)>& body) {
+  JobGraph jobs(pool);
+  for (std::size_t job = 0; job < count; ++job) {
+    jobs.add([&body, job](std::size_t worker) { body(job, worker); });
+  }
+  jobs.run();
+}
+
 }  // namespace gsb::par

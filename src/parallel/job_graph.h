@@ -183,6 +183,19 @@ class JobGraph {
   std::unique_ptr<Impl> impl_;
 };
 
+/// One round of independent jobs, the shape of the data-parallel stages
+/// (normalize columns, standardize gene ranges, dense matrix tiles): runs
+/// `body(job, worker)` for every job in [0, count) on \p pool (inline on
+/// the caller when null) and returns once all have finished.  `worker` is
+/// in [0, job_workers(pool)), so callers index per-worker scratch by it.
+void run_jobs(ThreadPool* pool, std::size_t count,
+              const std::function<void(std::size_t, std::size_t)>& body);
+
+/// Worker ids run_jobs hands out on \p pool (1 when null).
+[[nodiscard]] inline std::size_t job_workers(const ThreadPool* pool) {
+  return pool == nullptr || pool->size() == 0 ? 1 : pool->size();
+}
+
 }  // namespace gsb::par
 
 #endif  // GSB_PARALLEL_JOB_GRAPH_H

@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 namespace gsb::analysis {
 namespace {
@@ -350,6 +353,40 @@ TEST(Hubs, RanksByDegreeThenParticipation) {
   EXPECT_GE(hubs[0].clique_participation, 1u);
   const auto top = most_connected_vertex(g, sink.cliques());
   EXPECT_EQ(top.vertex, hubs[0].vertex);
+}
+
+TEST(Hubs, PartialRankingMatchesFullSort) {
+  // Few distinct degrees and participation counts, so most of the order
+  // comes from the id tie-break.
+  util::Rng rng(404);
+  const std::size_t n = 300;
+  Graph g(static_cast<VertexId>(n));
+  for (VertexId v = 0; v < n; ++v) {
+    const auto fan = static_cast<VertexId>(rng.below(4));
+    for (VertexId d = 1; d <= fan; ++d) g.add_edge(v, (v + d * 37) % n);
+  }
+  std::vector<std::uint32_t> participation(n);
+  for (auto& p : participation) p = static_cast<std::uint32_t>(rng.below(3));
+
+  std::vector<HubReport> full;
+  for (VertexId v = 0; v < n; ++v) {
+    full.push_back(HubReport{v, g.degree(v), participation[v]});
+  }
+  std::sort(full.begin(), full.end(), [](const HubReport& a,
+                                         const HubReport& b) {
+    return std::tuple(b.degree, b.clique_participation, a.vertex) <
+           std::tuple(a.degree, a.clique_participation, b.vertex);
+  });
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{10},
+                              n, n + 5}) {
+    const auto hubs = top_hubs(g, participation, k);
+    ASSERT_EQ(hubs.size(), std::min(k, n)) << "k " << k;
+    for (std::size_t r = 0; r < hubs.size(); ++r) {
+      EXPECT_EQ(hubs[r].vertex, full[r].vertex) << "k " << k << " rank " << r;
+      EXPECT_EQ(hubs[r].degree, full[r].degree);
+      EXPECT_EQ(hubs[r].clique_participation, full[r].clique_participation);
+    }
+  }
 }
 
 TEST(Hubs, EmptyGraphThrows) {

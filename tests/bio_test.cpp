@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "bio/correlation.h"
 #include "bio/expression.h"
@@ -130,6 +134,67 @@ TEST(Normalize, QuantileMakesSampleDistributionsEqual) {
     for (std::size_t g = 0; g < 40; ++g) {
       EXPECT_NEAR(column[g], reference[g], 1e-9);
     }
+  }
+}
+
+/// The sample-at-a-time serial quantile normalization the parallel one
+/// replaced, kept as the reference: strided column sorts, and the rank-r
+/// reference value summed over samples in ascending order.
+void serial_quantile_normalize(ExpressionMatrix& matrix) {
+  const std::size_t genes = matrix.genes();
+  const std::size_t samples = matrix.samples();
+  std::vector<std::vector<std::uint32_t>> order(
+      samples, std::vector<std::uint32_t>(genes));
+  for (std::size_t s = 0; s < samples; ++s) {
+    auto& idx = order[s];
+    std::iota(idx.begin(), idx.end(), 0u);
+    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
+      return matrix.at(a, s) < matrix.at(b, s);
+    });
+  }
+  std::vector<double> reference(genes, 0.0);
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t r = 0; r < genes; ++r) {
+      reference[r] += matrix.at(order[s][r], s);
+    }
+  }
+  for (double& v : reference) v /= static_cast<double>(samples);
+  for (std::size_t s = 0; s < samples; ++s) {
+    for (std::size_t r = 0; r < genes; ++r) {
+      matrix.at(order[s][r], s) = reference[r];
+    }
+  }
+}
+
+TEST(Normalize, ParallelMatchesSerialWithTies) {
+  // Quantized values tie heavily within every column, and column 3 is
+  // one value throughout, so std::sort's placement of tied genes decides
+  // which reference value each gets: the parallel code must reproduce it
+  // exactly, and ties are not averaged.
+  util::Rng rng(2005);
+  ExpressionMatrix input(300, 17);
+  for (std::size_t g = 0; g < input.genes(); ++g) {
+    for (std::size_t s = 0; s < input.samples(); ++s) {
+      input.at(g, s) =
+          s == 3 ? 4.25 : std::round(rng.normal(0.0, 2.0) * 2.0) / 2.0;
+    }
+  }
+  ExpressionMatrix expected = input;
+  serial_quantile_normalize(expected);
+  std::vector<double> column3;
+  for (std::size_t g = 0; g < expected.genes(); ++g) {
+    column3.push_back(expected.at(g, 3));
+  }
+  std::sort(column3.begin(), column3.end());
+  EXPECT_NE(column3.front(), column3.back())
+      << "tied genes take consecutive reference values, not their mean";
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ExpressionMatrix actual = input;
+    quantile_normalize(actual, threads);
+    EXPECT_EQ(std::memcmp(actual.row(0).data(), expected.row(0).data(),
+                          input.genes() * input.samples() * sizeof(double)),
+              0)
+        << threads << " threads";
   }
 }
 

@@ -575,53 +575,59 @@ TEST(StreamDeadline, ShedsTypedErrorsInOrderAndCountsTimeouts) {
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(b));
 
-  // Reference answer from an untimed run.
-  std::string reference;
-  {
-    std::istringstream in("degree 5\nshutdown\n");
-    std::ostringstream out;
-    serve_stream(entry, in, out, {});
-    std::istringstream lines(out.str());
-    ASSERT_TRUE(std::getline(lines, reference));
-    ASSERT_TRUE(reference.starts_with("degree 5:")) << reference;
-  }
-
-  constexpr std::size_t kRequests = 40000;
-  std::string script;
-  for (std::size_t i = 0; i < kRequests; ++i) script += "degree 5\n";
-  script += "stats\nshutdown\n";
-
-  std::istringstream in(script);
-  std::ostringstream out;
-  ServeOptions options;
-  options.request_timeout_ms = 2;
-  const auto stats = serve_stream(entry, in, out, options);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t ok = 0, shed = 0, index = 0;
-  std::string stats_line;
-  while (std::getline(lines, line)) {
-    if (index < kRequests) {
-      if (line == reference) {
-        ++ok;
-      } else {
-        EXPECT_EQ(line, kDeadlineError) << "request " << index;
-        ++shed;
-      }
-    } else if (index == kRequests) {
-      stats_line = line;
-    } else {
-      EXPECT_EQ(line, "ok shutdown");
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Reference answer from an untimed run.
+    std::string reference;
+    {
+      std::istringstream in("degree 5\nshutdown\n");
+      std::ostringstream out;
+      ServeOptions options;
+      options.threads = threads;
+      serve_stream(entry, in, out, options);
+      std::istringstream lines(out.str());
+      ASSERT_TRUE(std::getline(lines, reference));
+      ASSERT_TRUE(reference.starts_with("degree 5:")) << reference;
     }
-    ++index;
+
+    constexpr std::size_t kRequests = 40000;
+    std::string script;
+    for (std::size_t i = 0; i < kRequests; ++i) script += "degree 5\n";
+    script += "stats\nshutdown\n";
+
+    std::istringstream in(script);
+    std::ostringstream out;
+    ServeOptions options;
+    options.threads = threads;
+    options.request_timeout_ms = 2;
+    const auto stats = serve_stream(entry, in, out, options);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    std::size_t ok = 0, shed = 0, index = 0;
+    std::string stats_line;
+    while (std::getline(lines, line)) {
+      if (index < kRequests) {
+        if (line == reference) {
+          ++ok;
+        } else {
+          EXPECT_EQ(line, kDeadlineError) << "request " << index;
+          ++shed;
+        }
+      } else if (index == kRequests) {
+        stats_line = line;
+      } else {
+        EXPECT_EQ(line, "ok shutdown");
+      }
+      ++index;
+    }
+    EXPECT_EQ(index, kRequests + 2);
+    EXPECT_GE(ok, 1u) << "the first request must beat a 2ms deadline";
+    EXPECT_GE(shed, 1u) << "40k requests cannot all fit in 2ms";
+    EXPECT_EQ(ok + shed, kRequests);
+    EXPECT_EQ(stats.timeouts, shed);
+    EXPECT_NE(stats_line.find(" timeouts="), std::string::npos) << stats_line;
   }
-  EXPECT_EQ(index, kRequests + 2);
-  EXPECT_GE(ok, 1u) << "the first request must beat a 2ms deadline";
-  EXPECT_GE(shed, 1u) << "40k requests cannot all fit in 2ms";
-  EXPECT_EQ(ok + shed, kRequests);
-  EXPECT_EQ(stats.timeouts, shed);
-  EXPECT_NE(stats_line.find(" timeouts="), std::string::npos) << stats_line;
 }
 
 TEST(StreamDeadline, StatsLineOmitsTimeoutsUnlessConfigured) {
@@ -631,19 +637,25 @@ TEST(StreamDeadline, StatsLineOmitsTimeoutsUnlessConfigured) {
   GraphCatalog catalog;
   auto entry = catalog.open("g", spec_for(b));
 
-  {  // Default options: the stats line stays byte-compatible.
-    std::istringstream in("stats\nshutdown\n");
-    std::ostringstream out;
-    serve_stream(entry, in, out, {});
-    EXPECT_EQ(out.str().find(" timeouts="), std::string::npos) << out.str();
-  }
-  {  // A configured (generous) deadline reports the counter.
-    std::istringstream in("stats\nshutdown\n");
-    std::ostringstream out;
-    ServeOptions options;
-    options.request_timeout_ms = 60000;
-    serve_stream(entry, in, out, options);
-    EXPECT_NE(out.str().find(" timeouts=0"), std::string::npos) << out.str();
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    {  // Default options: the stats line stays byte-compatible.
+      std::istringstream in("stats\nshutdown\n");
+      std::ostringstream out;
+      ServeOptions options;
+      options.threads = threads;
+      serve_stream(entry, in, out, options);
+      EXPECT_EQ(out.str().find(" timeouts="), std::string::npos) << out.str();
+    }
+    {  // A configured (generous) deadline reports the counter.
+      std::istringstream in("stats\nshutdown\n");
+      std::ostringstream out;
+      ServeOptions options;
+      options.threads = threads;
+      options.request_timeout_ms = 60000;
+      serve_stream(entry, in, out, options);
+      EXPECT_NE(out.str().find(" timeouts=0"), std::string::npos) << out.str();
+    }
   }
 }
 

@@ -130,8 +130,7 @@ class RankRows {
 
   RankRows() = default;
   RankRows(std::size_t rows, std::size_t samples)
-      : rows_(rows),
-        pairs_((samples + 1) / 2),
+      : pairs_((samples + 1) / 2),
         ss_(rows, 0),
         inv_(rows, 0.0) {
     const std::size_t total =
@@ -144,7 +143,6 @@ class RankRows {
   }
 
   [[nodiscard]] bool empty() const noexcept { return data_ == nullptr; }
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   /// Sample pairs per row: ceil(samples / 2).
   [[nodiscard]] std::size_t pairs() const noexcept { return pairs_; }
   [[nodiscard]] const std::int32_t* pair_data() const noexcept {
@@ -188,7 +186,6 @@ class RankRows {
     return ((g / kTile) * pairs_ + p) * kTile + g % kTile;
   }
 
-  std::size_t rows_ = 0;
   std::size_t pairs_ = 0;
   std::vector<std::int64_t> ss_;
   std::vector<double> inv_;

@@ -126,8 +126,9 @@ pipeline flags:
   --graph-out FILE          where --out-of-core writes its .gsbg
   --init-k K --max-k K      enumeration size window      (4, unbounded)
   --threads P               worker threads, 0 = cores, 1 = sequential (0)
-                            (correlation sweep + clique enumeration; edge
-                            sets are identical at every thread count)
+                            (normalization, correlation sweep, clique
+                            enumeration; edge sets are identical at every
+                            thread count)
   --corr-block B            correlation kernel rows per cache block (128)
   --glom G                  paraclique non-neighbor allowance (1)
   --min-paraclique S        stop extraction below size S (5)

@@ -4,6 +4,8 @@
 // every thread count and block size, the in-memory builder's graph must be
 // invariant under --threads, and the tiled builder's .gsbg output must be
 // byte-identical across thread counts — for Pearson and Spearman alike.
+// The exact integer Spearman sweep must emit the double sweep's edge
+// sequence, including for pairs planted exactly at the threshold.
 
 #include <algorithm>
 #include <cmath>

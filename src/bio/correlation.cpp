@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "bio/corr_kernel.h"
+#include "obs/span.h"
 #include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
 #include "util/stats.h"
@@ -168,6 +169,7 @@ CorrelationMatrix correlation_matrix(const ExpressionMatrix& expression,
 CorrelationGraphResult build_correlation_graph(
     const ExpressionMatrix& expression,
     const CorrelationGraphOptions& options, util::Rng& rng) {
+  obs::Span span(obs::TimelineEventKind::kStage, "bio.corr");
   const std::size_t genes = expression.genes();
   CorrelationGraphResult result{graph::Graph(genes), options.threshold};
   if (genes < 2) return result;
@@ -175,8 +177,10 @@ CorrelationGraphResult build_correlation_graph(
   std::optional<par::ThreadPool> pool;
   if (workers > 1) pool.emplace(workers);
   par::ThreadPool* const shared = pool ? &*pool : nullptr;
-  const StandardizedRows rows =
-      standardize_rows(expression, options.method, shared);
+  const StandardizedRows rows = [&] {
+    obs::Span span(obs::TimelineEventKind::kStage, "bio.standardize");
+    return standardize_rows(expression, options.method, shared);
+  }();
   const std::size_t samples = expression.samples();
 
   double threshold = options.threshold;
@@ -219,6 +223,7 @@ CorrelationGraphResult build_correlation_graph(
   };
   // Spearman profiles of up to kMaxRankSamples samples carry exact integer
   // ranks: the integer sweep decides the same pairs, faster.
+  obs::Span sweep_span(obs::TimelineEventKind::kStage, "bio.sweep");
   if (!rows.ranks.empty()) {
     rank_correlation_self(rows, genes, threshold, sweep, sink);
   } else {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "bitset/dynamic_bitset.h"
+#include "obs/span.h"
 
 namespace gsb::bio {
 namespace {
@@ -29,6 +30,7 @@ std::size_t sample_module_size(const MicroarrayConfig& config,
 
 SyntheticMicroarray generate_microarray(const MicroarrayConfig& config,
                                         util::Rng& rng) {
+  obs::Span span(obs::TimelineEventKind::kStage, "bio.generate");
   SyntheticMicroarray out;
   out.expression = ExpressionMatrix(config.genes, config.samples);
 

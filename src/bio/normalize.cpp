@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "obs/span.h"
 #include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
 
@@ -30,6 +31,7 @@ void zscore_rows(ExpressionMatrix& matrix) {
 }
 
 void quantile_normalize(ExpressionMatrix& matrix, std::size_t threads) {
+  obs::Span span(obs::TimelineEventKind::kStage, "bio.normalize");
   const std::size_t genes = matrix.genes();
   const std::size_t samples = matrix.samples();
   if (genes == 0 || samples == 0) return;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bio/corr_kernel.h"
+#include "obs/span.h"
 #include "parallel/thread_pool.h"
 
 namespace gsb::bio {
@@ -144,6 +145,7 @@ void write_expression_binary(const ExpressionMatrix& matrix,
 TiledCorrelationResult build_correlation_gsbg(
     const RowBlockSource& source, const std::string& out_path,
     const TiledCorrelationOptions& options) {
+  obs::Span span(obs::TimelineEventKind::kStage, "bio.corr");
   const std::size_t n = source.genes();
   const std::size_t s = source.samples();
   const std::size_t tile = std::max<std::size_t>(options.tile_rows, 1);

@@ -153,12 +153,12 @@ std::string render_traces_json(const std::vector<Trace>& traces) {
     out += json_escape(t.request);
     out += "\",\"spans\":{";
     bool first = true;
-    for (std::size_t s = 0; s < kNumSpans; ++s) {
+    for (std::size_t s = 0; s < kTraceSlots; ++s) {
       if (t.span_micros[s] == 0) continue;
       if (!first) out += ',';
       first = false;
       out += '"';
-      out += span_name(static_cast<Span>(s));
+      out += trace_slot_name(s);
       out += "\":";
       out += std::to_string(t.span_micros[s]);
     }

@@ -108,6 +108,8 @@ class Histogram {
  public:
   Histogram() = default;
   void observe_micros(std::uint64_t micros) const noexcept;
+  /// Whether an observation would be recorded now.
+  bool enabled() const noexcept;
 
  private:
   friend class MetricsRegistry;
@@ -203,6 +205,10 @@ class MetricsRegistry {
   std::vector<std::pair<std::size_t, Collector>> collectors_;
   std::size_t next_collector_id_ = 0;
 };
+
+inline bool Histogram::enabled() const noexcept {
+  return registry_ != nullptr && registry_->enabled();
+}
 
 /// Seconds since the process anchor.  `anchor_process_start()` pins the
 /// anchor; `main()` calls it first thing so serve-loop uptime matches

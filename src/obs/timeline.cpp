@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 namespace gsb::obs {
 
@@ -58,6 +59,10 @@ const char* timeline_event_kind_name(TimelineEventKind kind) noexcept {
     case TimelineEventKind::kIo: return "io";
     case TimelineEventKind::kCacheHit: return "cache_hit";
     case TimelineEventKind::kCacheMiss: return "cache_miss";
+    case TimelineEventKind::kDispatchWait: return "queue_wait";
+    case TimelineEventKind::kParse:
+    case TimelineEventKind::kCacheLookup:
+    case TimelineEventKind::kExecute: return "stage";
   }
   return "unknown";
 }
@@ -91,8 +96,10 @@ TimelineJournal& TimelineJournal::global() {
   return *journal;
 }
 
-std::uint64_t TimelineJournal::now_micros() const noexcept {
-  const auto elapsed = std::chrono::steady_clock::now() - journal_epoch();
+std::uint64_t TimelineJournal::micros_at(
+    std::chrono::steady_clock::time_point t) noexcept {
+  if (t <= journal_epoch()) return 0;  // e.g. a wait begun before the epoch
+  const auto elapsed = t - journal_epoch();
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
           .count());

@@ -20,10 +20,9 @@
 /// artifacts and wire responses are byte-identical with the timeline on
 /// or off (pinned by scheduler_test and the serve-path tests).
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -36,14 +35,21 @@ enum class TimelineEventKind : std::uint8_t {
   kJob,        ///< scheduler job body (id = JobId, label from JobSpec)
   kQueueWait,  ///< job ready -> claimed by a worker
   kSteal,      ///< instant: a worker claimed a job homed elsewhere
-  kStage,      ///< engine/pipeline stage span (e.g. query execute)
+  kStage,      ///< pipeline stage span (bio.generate, bio.corr, ...)
   kRequest,    ///< serve-path request lifecycle
   kIo,         ///< syscall span (separately gated, see set_io_spans_enabled)
   kCacheHit,   ///< instant: result cache hit
   kCacheMiss,  ///< instant: result cache miss
+  // Request phases, in Trace::span_micros slot order (obs/trace.h).  They
+  // export under the categories above: queue_wait for the dispatch wait,
+  // stage for the other three.
+  kDispatchWait,  ///< socket hand-off -> worker pickup
+  kParse,         ///< query text -> typed Query
+  kCacheLookup,   ///< result-cache probe, and insert on a miss
+  kExecute,       ///< engine execution
 };
 
-/// Stable lowercase name for a kind (trace `cat` field, tests).
+/// Stable lowercase category of a kind (the trace `cat` field).
 const char* timeline_event_kind_name(TimelineEventKind kind) noexcept;
 
 /// One journal entry.  Fixed 64-byte layout: no allocation on record,
@@ -97,8 +103,10 @@ class TimelineJournal {
   void set_io_spans_enabled(bool enabled) noexcept {
     io_spans_.store(enabled, std::memory_order_relaxed);
   }
-  bool io_spans_enabled() const noexcept {
-    return enabled() && io_spans_.load(std::memory_order_relaxed);
+  /// Whether an event of \p kind would be recorded now.
+  bool enabled_for(TimelineEventKind kind) const noexcept {
+    return enabled() && (kind != TimelineEventKind::kIo ||
+                         io_spans_.load(std::memory_order_relaxed));
   }
 
   /// Per-thread buffer capacity for lanes registered after the call
@@ -108,8 +116,12 @@ class TimelineJournal {
     capacity_.store(events == 0 ? 1 : events, std::memory_order_relaxed);
   }
 
-  /// Microseconds since the journal's monotonic epoch.
-  std::uint64_t now_micros() const noexcept;
+  /// Microseconds from the journal's monotonic epoch to \p t / to now.
+  static std::uint64_t micros_at(
+      std::chrono::steady_clock::time_point t) noexcept;
+  static std::uint64_t now_micros() noexcept {
+    return micros_at(std::chrono::steady_clock::now());
+  }
 
   /// Names the calling thread's lane in exported traces ("worker-0",
   /// "tcp-worker-2", ...).  Idempotent; safe before or after recording.
@@ -158,45 +170,6 @@ class TimelineJournal {
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-};
-
-/// RAII span: stamps `now` on construction and records one complete
-/// event on destruction.  Costs one relaxed load when the journal is
-/// disabled.
-class TimelineSpan {
- public:
-  TimelineSpan(TimelineEventKind kind, std::string_view label,
-               std::uint64_t id = 0) noexcept
-      : TimelineSpan(TimelineJournal::global(), kind, label, id) {}
-
-  TimelineSpan(TimelineJournal& journal, TimelineEventKind kind,
-               std::string_view label, std::uint64_t id = 0) noexcept {
-    if (!journal.enabled()) return;
-    journal_ = &journal;
-    kind_ = kind;
-    id_ = id;
-    start_ = journal.now_micros();
-    const std::size_t n =
-        std::min(label.size(), std::size_t{TimelineEvent::kLabelChars});
-    std::memcpy(label_, label.data(), n);
-    label_[n] = '\0';
-  }
-
-  TimelineSpan(const TimelineSpan&) = delete;
-  TimelineSpan& operator=(const TimelineSpan&) = delete;
-
-  ~TimelineSpan() {
-    if (journal_ == nullptr) return;
-    journal_->record(kind_, start_, journal_->now_micros() - start_, id_,
-                     label_);
-  }
-
- private:
-  TimelineJournal* journal_ = nullptr;
-  TimelineEventKind kind_ = TimelineEventKind::kStage;
-  std::uint64_t id_ = 0;
-  std::uint64_t start_ = 0;
-  char label_[TimelineEvent::kLabelChars + 1] = {};
 };
 
 }  // namespace gsb::obs

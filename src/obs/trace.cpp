@@ -8,28 +8,16 @@ namespace gsb::obs {
 
 namespace {
 
-thread_local Trace* tl_active_trace = nullptr;
-
 bool slower(const Trace& a, const Trace& b) {
   return a.total_micros > b.total_micros;
 }
 
 }  // namespace
 
-const char* span_name(Span span) noexcept {
-  switch (span) {
-    case Span::kQueueWait:
-      return "queue_wait";
-    case Span::kParse:
-      return "parse";
-    case Span::kCacheLookup:
-      return "cache_lookup";
-    case Span::kExecute:
-      return "execute";
-    case Span::kNumSpans:
-      break;
-  }
-  return "unknown";
+const char* trace_slot_name(std::size_t slot) noexcept {
+  static constexpr std::array<const char*, kTraceSlots> kNames{
+      "queue_wait", "parse", "cache_lookup", "execute"};
+  return slot < kTraceSlots ? kNames[slot] : "unknown";
 }
 
 Tracer& Tracer::global() {
@@ -58,10 +46,10 @@ void Tracer::complete(Trace trace) {
     line += ") \"";
     line += trace.request;
     line += "\"";
-    for (std::size_t i = 0; i < kNumSpans; ++i) {
+    for (std::size_t i = 0; i < kTraceSlots; ++i) {
       if (trace.span_micros[i] == 0) continue;
       line += ' ';
-      line += span_name(static_cast<Span>(i));
+      line += trace_slot_name(i);
       line += '=';
       line += std::to_string(trace.span_micros[i]);
       line += "us";
@@ -101,34 +89,6 @@ void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   heap_.clear();
   slow_logged_.store(0, std::memory_order_relaxed);
-}
-
-Trace* active_trace() noexcept { return tl_active_trace; }
-
-TraceScope::TraceScope(Tracer& tracer, const char* transport,
-                       const std::string& request) {
-  if (!tracer.enabled()) return;
-  tracer_ = &tracer;
-  active_ = true;
-  trace_.transport = transport;
-  trace_.request = request.substr(0, Trace::kMaxRequestChars);
-  previous_ = tl_active_trace;
-  tl_active_trace = &trace_;
-  timer_.reset();
-}
-
-TraceScope::~TraceScope() {
-  if (!active_) return;
-  tl_active_trace = previous_;
-  trace_.total_micros =
-      pre_micros_ + static_cast<std::uint64_t>(timer_.micros());
-  tracer_->complete(std::move(trace_));
-}
-
-void TraceScope::add_pre_span(Span span, std::uint64_t micros) noexcept {
-  if (!active_) return;
-  trace_.span_micros[static_cast<std::size_t>(span)] += micros;
-  pre_micros_ += micros;
 }
 
 }  // namespace gsb::obs

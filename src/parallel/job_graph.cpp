@@ -6,11 +6,12 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
+#include "obs/span.h"
 
 namespace gsb::par {
 
@@ -390,31 +391,22 @@ void JobGraph::worker_loop(std::size_t worker) {
       ++stats_.jobs_run;
       if (stolen) ++stats_.jobs_stolen;
       if (impl_->metrics_on || impl_->timeline_on) {
-        const auto waited = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                  job.ready_at)
-                .count());
-        if (impl_->metrics_on) {
-          sched_metrics().queue_wait.observe_micros(waited);
-        }
-        if (impl_->timeline_on) {
-          const std::uint64_t now = journal.now_micros();
-          journal.record(obs::TimelineEventKind::kQueueWait,
-                         now >= waited ? now - waited : 0, waited, id,
-                         job.label);
-          if (stolen) {
-            journal.record_instant(obs::TimelineEventKind::kSteal, id,
-                                   job.label);
-          }
-        }
+        obs::Span::record_wait(
+            obs::TimelineEventKind::kQueueWait, job.ready_at, job.label, id,
+            impl_->metrics_on ? &sched_metrics().queue_wait : nullptr);
+      }
+      if (impl_->timeline_on && stolen) {
+        journal.record_instant(obs::TimelineEventKind::kSteal, id, job.label);
       }
       label = std::move(job.label);
       body = std::move(job.run);
       if (!options_.ordered) unordered_complete = std::move(job.complete);
     }
     lock.unlock();
-    const std::uint64_t job_start =
-        impl_->timeline_on ? journal.now_micros() : 0;
+    std::optional<obs::Span> span;
+    if (impl_->timeline_on) {
+      span.emplace(obs::TimelineEventKind::kJob, label, id);
+    }
     std::exception_ptr error;
     try {
       body(worker);
@@ -422,10 +414,7 @@ void JobGraph::worker_loop(std::size_t worker) {
     } catch (...) {
       error = std::current_exception();
     }
-    if (impl_->timeline_on) {
-      journal.record(obs::TimelineEventKind::kJob, job_start,
-                     journal.now_micros() - job_start, id, label);
-    }
+    span.reset();
     lock.lock();
     // Re-index: a dynamic add() from the body may have grown the jobs
     // vector, invalidating any reference held across the unlock.

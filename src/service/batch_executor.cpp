@@ -6,17 +6,12 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
+#include "obs/span.h"
 #include "parallel/job_graph.h"
-#include "obs/trace.h"
-#include "util/timer.h"
 
 namespace gsb::service {
 
 namespace {
-
-constexpr std::size_t kNumQueryKinds =
-    static_cast<std::size_t>(QueryKind::kTopHubs) + 1;
 
 /// Per-query-type series for the one parse→cache→engine path every
 /// transport funnels through.  Slot kNumQueryKinds is `type="invalid"`
@@ -59,18 +54,25 @@ const RequestMetrics& request_metrics() {
 
 }  // namespace
 
-std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
-                                const std::string& line,
+std::string execute_traced_line(const char* transport, QueryEngine& engine,
+                                ResultCache* cache, const std::string& line,
                                 std::uint64_t& cache_hits,
-                                std::uint64_t& cache_misses) {
+                                std::uint64_t& cache_misses,
+                                const Dispatch* dispatch) {
   const RequestMetrics& metrics = request_metrics();
-  const bool instrumented = obs::MetricsRegistry::global().enabled();
-  util::Timer timer;
+  const std::uint64_t id = dispatch != nullptr ? dispatch->id : 0;
+  // Observed as type="invalid" until the line parses.
+  obs::Span request(obs::Tracer::global(), transport, line, id,
+                    &metrics.duration[kNumQueryKinds]);
+  if (dispatch != nullptr) {
+    obs::Span::record_wait(obs::TimelineEventKind::kDispatchWait,
+                           dispatch->at, line, id);
+  }
 
   Query query;
   bool parsed = false;
   {
-    obs::SpanTimer span(obs::Span::kParse);
+    obs::Span span(obs::TimelineEventKind::kParse, "parse");
     try {
       query = parse_query(line);
       parsed = true;
@@ -79,34 +81,23 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
   }
   if (!parsed) {
     // Counted + formatted by the engine; metered as type="invalid".
-    std::string response = engine.execute_line(line);
-    if (instrumented) {
-      metrics.requests[kNumQueryKinds].inc();
-      metrics.errors[kNumQueryKinds].inc();
-      metrics.duration[kNumQueryKinds].observe_micros(
-          static_cast<std::uint64_t>(timer.micros()));
-    }
-    return response;
+    metrics.requests[kNumQueryKinds].inc();
+    metrics.errors[kNumQueryKinds].inc();
+    return engine.execute_line(line);
   }
   const auto kind = static_cast<std::size_t>(query.kind);
+  request.set_histogram(&metrics.duration[kind]);
   metrics.requests[kind].inc();
   const auto finish = [&](std::string response) {
-    if (instrumented) {
-      if (response.starts_with("error:")) metrics.errors[kind].inc();
-      metrics.duration[kind].observe_micros(
-          static_cast<std::uint64_t>(timer.micros()));
-    }
+    if (response.starts_with("error:")) metrics.errors[kind].inc();
     return response;
   };
 
-  if (cache == nullptr) {
-    obs::SpanTimer span(obs::Span::kExecute);
-    return finish(engine.execute(query));
-  }
+  if (cache == nullptr) return finish(engine.execute(query));
   const std::uint64_t epoch = engine.entry().epoch();
   const std::string canonical = canonical_query(query);
   {
-    obs::SpanTimer span(obs::Span::kCacheLookup);
+    obs::Span span(obs::TimelineEventKind::kCacheLookup, "cache_lookup");
     if (auto cached = cache->lookup(epoch, canonical)) {
       ++cache_hits;
       metrics.cache_hits.inc();
@@ -119,40 +110,12 @@ std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
   metrics.cache_misses.inc();
   obs::TimelineJournal::global().record_instant(
       obs::TimelineEventKind::kCacheMiss, 0, canonical);
-  std::string response;
-  {
-    obs::SpanTimer span(obs::Span::kExecute);
-    response = engine.execute(query);
-  }
+  std::string response = engine.execute(query);
   if (!response.starts_with("error:")) {
-    obs::SpanTimer span(obs::Span::kCacheLookup);
+    obs::Span span(obs::TimelineEventKind::kCacheLookup, "cache_lookup");
     cache->insert(epoch, canonical, response);
   }
   return finish(std::move(response));
-}
-
-std::string execute_traced_line(const char* transport, QueryEngine& engine,
-                                ResultCache* cache, const std::string& line,
-                                std::uint64_t& cache_hits,
-                                std::uint64_t& cache_misses,
-                                const Dispatch* dispatch) {
-  obs::TraceScope trace(obs::Tracer::global(), transport, line);
-  obs::TimelineJournal& journal = obs::TimelineJournal::global();
-  const std::uint64_t id = dispatch != nullptr ? dispatch->id : 0;
-  if (dispatch != nullptr && (trace.active() || journal.enabled())) {
-    const auto waited = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - dispatch->at)
-            .count());
-    if (trace.active()) trace.add_pre_span(obs::Span::kQueueWait, waited);
-    if (journal.enabled()) {
-      const std::uint64_t now = journal.now_micros();
-      journal.record(obs::TimelineEventKind::kQueueWait,
-                     now >= waited ? now - waited : 0, waited, id, line);
-    }
-  }
-  obs::TimelineSpan span(journal, obs::TimelineEventKind::kRequest, line, id);
-  return execute_cached_line(engine, cache, line, cache_hits, cache_misses);
 }
 
 namespace {

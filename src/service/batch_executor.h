@@ -56,27 +56,19 @@ BatchResult execute_batch(std::shared_ptr<const GraphEntry> entry,
                           const std::vector<std::string>& lines,
                           const BatchOptions& options = {});
 
-/// One request line through parse -> cache -> engine — the single code
-/// path both execute_batch and the serve loop's connections use, so every
-/// transport serves identical bytes.  Successful responses are cached
-/// under (entry epoch, canonical query); `error:` responses never are.
-std::string execute_cached_line(QueryEngine& engine, ResultCache* cache,
-                                const std::string& line,
-                                std::uint64_t& cache_hits,
-                                std::uint64_t& cache_misses);
-
 /// A socket server's hand-off of one request to a worker.
 struct Dispatch {
   std::chrono::steady_clock::time_point at;  ///< queued for a worker
   std::uint64_t id = 0;  ///< binary request id; 0 on the line protocol
 };
 
-/// execute_cached_line inside one request's spans — the one place every
-/// transport opens them: an obs::TraceScope tagged with \p transport and
-/// a kRequest timeline span labelled with the line.  With \p dispatch,
-/// the wait from its hand-off to now is recorded first as the request's
-/// queue_wait (trace pre-span and timeline event).  All inert unless the
-/// tracer / timeline is enabled.
+/// One request line through parse -> cache -> engine — the single code
+/// path every transport takes, so all serve identical bytes, and the one
+/// place a request's spans open: an obs::Span request scope tagged with
+/// \p transport around parse, cache_lookup and execute spans, after the
+/// queue_wait from \p dispatch's hand-off when there is one.  Successful
+/// responses are cached under (entry epoch, canonical query); `error:`
+/// responses never are.
 std::string execute_traced_line(const char* transport, QueryEngine& engine,
                                 ResultCache* cache, const std::string& line,
                                 std::uint64_t& cache_hits,

@@ -42,6 +42,8 @@ enum class QueryKind {
   kParacliqueExpand,
   kTopHubs,
 };
+inline constexpr std::size_t kNumQueryKinds =
+    static_cast<std::size_t>(QueryKind::kTopHubs) + 1;
 
 /// One parsed query.  `vertices` holds the vertex operands (canonicalized
 /// per kind); `k` is the K of kcore-membership, the N of top-hubs, and the

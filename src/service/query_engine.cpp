@@ -8,9 +8,8 @@
 #include "analysis/paraclique.h"
 #include "graph/transforms.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
+#include "obs/span.h"
 #include "storage/clique_stream.h"
-#include "util/timer.h"
 
 namespace gsb::service {
 namespace {
@@ -53,11 +52,11 @@ graph::VertexId QueryEngine::stored_operand(graph::VertexId original) const {
 namespace {
 
 /// Engine-level series: per-kind execution latency plus the access-path
-/// counters (index hit vs stream rescan, records decoded).
+/// counters (index hit vs stream rescan, records decoded), and the
+/// per-kind execute span labels, built once so a request allocates none.
 struct EngineMetrics {
-  std::array<obs::Histogram,
-             static_cast<std::size_t>(QueryKind::kTopHubs) + 1>
-      execute_micros;
+  std::array<obs::Histogram, kNumQueryKinds> execute_micros;
+  std::array<std::string, kNumQueryKinds> execute_labels;
   obs::Counter index_queries;
   obs::Counter stream_scans;
   obs::Counter records_decoded;
@@ -67,12 +66,13 @@ const EngineMetrics& engine_metrics() {
   static const EngineMetrics metrics = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     EngineMetrics m;
-    for (std::size_t k = 0; k < m.execute_micros.size(); ++k) {
+    for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
+      const char* type = query_kind_name(static_cast<QueryKind>(k));
       m.execute_micros[k] = registry.histogram(
           "gsb_query_execute_microseconds",
           "Engine execution latency per query type (cache misses only).",
-          std::string("type=\"") +
-              query_kind_name(static_cast<QueryKind>(k)) + "\"");
+          std::string("type=\"") + type + "\"");
+      m.execute_labels[k] = std::string("execute:") + type;
     }
     m.index_queries = registry.counter(
         "gsb_index_queries_total",
@@ -93,27 +93,23 @@ const EngineMetrics& engine_metrics() {
 std::string QueryEngine::execute(const Query& query) {
   ++stats_.executed;
   const EngineMetrics& metrics = engine_metrics();
-  const bool instrumented = obs::MetricsRegistry::global().enabled();
-  util::Timer timer;
+  const auto kind = static_cast<std::size_t>(query.kind);
   const QueryEngineStats before = stats_;
   std::string response;
-  try {
-    obs::TimelineSpan span(obs::TimelineEventKind::kStage,
-                           std::string("execute:") +
-                               query_kind_name(query.kind));
-    response = dispatch(query);
-  } catch (const std::exception& error) {
-    ++stats_.errors;
-    response = "error: '" + canonical_query(query) + "': " + error.what();
+  {
+    obs::Span span(obs::TimelineEventKind::kExecute,
+                   metrics.execute_labels[kind], 0,
+                   &metrics.execute_micros[kind]);
+    try {
+      response = dispatch(query);
+    } catch (const std::exception& error) {
+      ++stats_.errors;
+      response = "error: '" + canonical_query(query) + "': " + error.what();
+    }
   }
-  if (instrumented) {
-    metrics.execute_micros[static_cast<std::size_t>(query.kind)]
-        .observe_micros(static_cast<std::uint64_t>(timer.micros()));
-    metrics.index_queries.inc(stats_.index_queries - before.index_queries);
-    metrics.stream_scans.inc(stats_.stream_scans - before.stream_scans);
-    metrics.records_decoded.inc(stats_.records_decoded -
-                                before.records_decoded);
-  }
+  metrics.index_queries.inc(stats_.index_queries - before.index_queries);
+  metrics.stream_scans.inc(stats_.stream_scans - before.stream_scans);
+  metrics.records_decoded.inc(stats_.records_decoded - before.records_decoded);
   return response;
 }
 

@@ -1,6 +1,8 @@
 #include "util/fault_injection.h"
 
 #include <cstdlib>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -14,7 +16,12 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-Schedule g_schedule;  // mutated only while disabled (install/ScheduleScope)
+/// Every installed schedule, immutable once published and kept alive for
+/// the process: a decide() that passed the enabled() gate before an
+/// install() may still be reading the previous one.
+std::mutex g_install_mutex;
+std::deque<Schedule> g_installed{Schedule{}};
+std::atomic<const Schedule*> g_schedule{&g_installed.front()};
 std::array<std::atomic<std::uint64_t>, kNumOps> g_calls{};
 std::atomic<std::uint64_t> g_injected{0};
 
@@ -172,7 +179,8 @@ Decision decide(Op op, std::size_t requested) noexcept {
   const auto index = static_cast<unsigned>(op);
   const std::uint64_t call =
       g_calls[index].fetch_add(1, std::memory_order_relaxed) + 1;
-  const OpSchedule& entry = g_schedule.ops[index];
+  const Schedule& schedule = *g_schedule.load(std::memory_order_acquire);
+  const OpSchedule& entry = schedule.ops[index];
 
   Decision decision;
   if (entry.fail_after != 0 && call == entry.fail_after) {
@@ -180,7 +188,7 @@ Decision decide(Op op, std::size_t requested) noexcept {
     decision.injected_errno = entry.fail_errno;
   } else {
     const double roll =
-        uniform(mix(g_schedule.seed ^ (0x1000003ULL * (index + 1)) ^
+        uniform(mix(schedule.seed ^ (0x1000003ULL * (index + 1)) ^
                     (call * 0x9e3779b97f4a7c15ULL)));
     if (roll < entry.error) {
       decision.kind = Decision::Kind::kError;
@@ -193,7 +201,7 @@ Decision decide(Op op, std::size_t requested) noexcept {
       decision.kind = Decision::Kind::kShort;
       decision.count =
           1 + static_cast<std::size_t>(
-                  mix(g_schedule.seed ^ call ^ 0xdecafULL) % (requested - 1));
+                  mix(schedule.seed ^ call ^ 0xdecafULL) % (requested - 1));
     }
   }
   if (decision.kind != Decision::Kind::kNone) {
@@ -204,8 +212,10 @@ Decision decide(Op op, std::size_t requested) noexcept {
 }
 
 void install(const Schedule& schedule) {
+  const std::lock_guard<std::mutex> lock(g_install_mutex);
   detail::g_enabled.store(false, std::memory_order_relaxed);
-  g_schedule = schedule;
+  g_schedule.store(&g_installed.emplace_back(schedule),
+                   std::memory_order_release);
   for (auto& count : g_calls) count.store(0, std::memory_order_relaxed);
   g_injected.store(0, std::memory_order_relaxed);
   detail::g_enabled.store(true, std::memory_order_release);

@@ -96,7 +96,8 @@ struct Decision {
 Decision decide(Op op, std::size_t requested) noexcept;
 
 /// Installs `schedule` process-wide, resets the per-op call counters,
-/// and enables the shim.
+/// and enables the shim.  A decide() already running finishes on the
+/// schedule it started with.
 void install(const Schedule& schedule);
 
 /// Disables the shim; the schedule stays installed.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -17,40 +16,12 @@
 #include <unistd.h>
 
 #include "obs/metrics.h"
-#include "obs/timeline.h"
+#include "obs/span.h"
 #include "util/fault_injection.h"
 
 namespace gsb::util::io {
 
 namespace {
-
-/// Optional syscall span for the full-transfer helpers.  Doubly gated
-/// (journal enabled AND io spans on) so per-read events only appear when
-/// explicitly requested; the disabled cost stays one relaxed load.
-class IoSpan {
- public:
-  IoSpan(const char* label, std::size_t bytes) noexcept {
-    obs::TimelineJournal& journal = obs::TimelineJournal::global();
-    if (!journal.io_spans_enabled()) return;
-    journal_ = &journal;
-    label_ = label;
-    bytes_ = bytes;
-    start_ = journal.now_micros();
-  }
-  IoSpan(const IoSpan&) = delete;
-  IoSpan& operator=(const IoSpan&) = delete;
-  ~IoSpan() {
-    if (journal_ == nullptr) return;
-    journal_->record(obs::TimelineEventKind::kIo, start_,
-                     journal_->now_micros() - start_, bytes_, label_);
-  }
-
- private:
-  obs::TimelineJournal* journal_ = nullptr;
-  const char* label_ = "";
-  std::uint64_t bytes_ = 0;
-  std::uint64_t start_ = 0;
-};
 
 /// Injected EINTR storms must terminate even under a hostile schedule:
 /// after this many consecutive injected interrupts a wrapper stops
@@ -153,7 +124,7 @@ ssize_t send_some(int fd, const void* buf, std::size_t n,
 }
 
 bool read_full(int fd, void* buf, std::size_t n) noexcept {
-  IoSpan span("read", n);
+  obs::Span span(obs::TimelineEventKind::kIo, "read", n);
   auto* cursor = static_cast<char*>(buf);
   while (n > 0) {
     const ssize_t got = read_some(fd, cursor, n);
@@ -169,7 +140,7 @@ bool read_full(int fd, void* buf, std::size_t n) noexcept {
 }
 
 bool write_full(int fd, const void* buf, std::size_t n) noexcept {
-  IoSpan span("write", n);
+  obs::Span span(obs::TimelineEventKind::kIo, "write", n);
   const auto* cursor = static_cast<const char*>(buf);
   while (n > 0) {
     std::size_t want = n;
@@ -291,7 +262,7 @@ int open_for_read(const char* path) noexcept {
 }
 
 int fsync_fd(int fd) noexcept {
-  IoSpan span("fsync", 0);
+  obs::Span span(obs::TimelineEventKind::kIo, "fsync");
   for (int attempts = 0;; ++attempts) {
     std::size_t unused = 0;
     ssize_t injected = 0;
@@ -416,7 +387,8 @@ void FileWriter::write_at(std::uint64_t offset, const void* data,
 void FileWriter::commit() {
   if (fd_ < 0) fail("commit after close");
   flush_buffer();
-  const auto begin = std::chrono::steady_clock::now();
+  obs::Span span(obs::TimelineEventKind::kIo, "commit", 0,
+                 &fsync_histogram_for(path_));
   if (fsync_fd(fd_) != 0) fail("fsync failed");
   if (::close(fd_) != 0) {
     fd_ = -1;
@@ -439,11 +411,6 @@ void FileWriter::commit() {
     throw std::runtime_error("io: directory fsync failed for '" + path_ +
                              "': " + std::strerror(errno));
   }
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - begin)
-                          .count();
-  fsync_histogram_for(path_).observe_micros(
-      static_cast<std::uint64_t>(micros));
 }
 
 // -- stale temp scan ---------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <regex>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "obs/timeline.h"
 #include "obs/timeline_export.h"
 #include "obs/trace.h"
@@ -289,7 +291,7 @@ Trace make_trace(std::uint64_t total) {
   trace.request = "neighbors " + std::to_string(total);
   trace.transport = "test";
   trace.total_micros = total;
-  trace.span_micros[static_cast<std::size_t>(Span::kExecute)] = total;
+  trace.span_micros[trace_slot(TimelineEventKind::kExecute)] = total;
   return trace;
 }
 
@@ -322,15 +324,21 @@ TEST(Tracer, SlowLogThresholdCounts) {
   EXPECT_EQ(tracer.slow_logged(), 2u);
 }
 
-TEST(Tracer, TraceScopeFillsSpansAndTotal) {
+TEST(Span, RequestScopeFillsSlotsAndTotal) {
   Tracer tracer;
   tracer.set_enabled(true);
   {
-    TraceScope scope(tracer, "unix", "degree 3");
-    ASSERT_TRUE(scope.active());
+    Span scope(tracer, "unix", "degree 3");
     ASSERT_NE(active_trace(), nullptr);
-    scope.add_pre_span(Span::kQueueWait, 250);
-    { SpanTimer timer(Span::kExecute); }
+    Span::record_wait(TimelineEventKind::kDispatchWait,
+                      std::chrono::steady_clock::now() -
+                          std::chrono::microseconds(250),
+                      "degree 3");
+    {
+      Span execute(TimelineEventKind::kExecute, "execute:degree");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    { Span job(TimelineEventKind::kJob, "not a request phase"); }
   }
   EXPECT_EQ(active_trace(), nullptr);
   const std::vector<Trace> slowest = tracer.slowest();
@@ -338,26 +346,49 @@ TEST(Tracer, TraceScopeFillsSpansAndTotal) {
   const Trace& trace = slowest[0];
   EXPECT_EQ(trace.request, "degree 3");
   EXPECT_STREQ(trace.transport, "unix");
-  EXPECT_EQ(trace.span_micros[static_cast<std::size_t>(Span::kQueueWait)],
-            250u);
-  EXPECT_GE(trace.total_micros, 250u);  // pre-span counts into the total
+  const std::uint64_t waited =
+      trace.span_micros[trace_slot(TimelineEventKind::kDispatchWait)];
+  const std::uint64_t executed =
+      trace.span_micros[trace_slot(TimelineEventKind::kExecute)];
+  EXPECT_GE(waited, 250u);
+  EXPECT_GE(executed, 1000u);
+  EXPECT_EQ(trace.span_micros[trace_slot(TimelineEventKind::kParse)], 0u);
+  // The wait happened before the scope: it counts into the total too.
+  EXPECT_GE(trace.total_micros, waited + executed);
 }
 
-TEST(Tracer, DisabledTracerMakesScopesInert) {
+TEST(Span, DisabledTracerMakesRequestScopeInert) {
   Tracer tracer;  // disabled by default
   {
-    TraceScope scope(tracer, "unix", "ping");
-    EXPECT_FALSE(scope.active());
+    Span scope(tracer, "unix", "ping");
     EXPECT_EQ(active_trace(), nullptr);
+    // A request phase outside any trace has nowhere to add to.
+    { Span parse(TimelineEventKind::kParse, "parse"); }
   }
   EXPECT_EQ(tracer.retained(), 0u);
+}
+
+TEST(Span, ObservesItsHistogram) {
+  MetricsRegistry registry;
+  const Histogram h = registry.histogram("span_micros", "help");
+  { Span off(TimelineEventKind::kStage, "bio.corr", 0, &h); }
+  registry.set_enabled(true);
+  {
+    Span on(TimelineEventKind::kStage, "bio.corr", 0, &h);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const RegistrySnapshot snapshot = registry.scrape();
+  const MetricSnapshot* metric = find_metric(snapshot, "span_micros");
+  ASSERT_NE(metric, nullptr);
+  EXPECT_EQ(metric->histogram.count, 1u);  // the disabled span observed none
+  EXPECT_GE(metric->histogram.sum_micros, 1000u);
 }
 
 TEST(Tracer, LongRequestsAreTruncated) {
   Tracer tracer;
   tracer.set_enabled(true);
   const std::string request(1000, 'x');
-  { TraceScope scope(tracer, "tcp", request); }
+  { Span scope(tracer, "tcp", request); }
   const std::vector<Trace> slowest = tracer.slowest();
   ASSERT_EQ(slowest.size(), 1u);
   EXPECT_EQ(slowest[0].request.size(), Trace::kMaxRequestChars);
@@ -542,25 +573,59 @@ TEST(Timeline, OneLanePerRecordingThread) {
   }
 }
 
-TEST(Timeline, SpanRecordsCompleteEvent) {
-  TimelineJournal journal;
-  journal.set_enabled(true);
-  { TimelineSpan span(journal, TimelineEventKind::kRequest, "degree 3", 42); }
-  const TimelineSnapshot snapshot = journal.snapshot();
+/// The global journal, enabled for one test and reset on both ends: spans
+/// always record to the process-wide journal.
+class SpanJournal : public ::testing::Test {
+ protected:
+  SpanJournal() {
+    journal_.reset();
+    journal_.set_enabled(true);
+  }
+  ~SpanJournal() override {
+    journal_.set_enabled(false);
+    journal_.set_io_spans_enabled(false);
+    journal_.reset();
+  }
+  TimelineJournal& journal_ = TimelineJournal::global();
+};
+
+TEST_F(SpanJournal, SpanRecordsCompleteEvent) {
+  { Span span(TimelineEventKind::kRequest, "degree 3", 42); }
+  const TimelineSnapshot snapshot = journal_.snapshot();
   ASSERT_EQ(snapshot.events.size(), 1u);
   EXPECT_EQ(snapshot.events[0].kind, TimelineEventKind::kRequest);
   EXPECT_EQ(snapshot.events[0].id, 42u);
   EXPECT_STREQ(snapshot.events[0].label, "degree 3");
 }
 
-TEST(Timeline, IoSpansAreDoublyGated) {
-  TimelineJournal journal;
-  journal.set_io_spans_enabled(true);
-  EXPECT_FALSE(journal.io_spans_enabled());  // journal itself still off
-  journal.set_enabled(true);
-  EXPECT_TRUE(journal.io_spans_enabled());
-  journal.set_io_spans_enabled(false);
-  EXPECT_FALSE(journal.io_spans_enabled());
+TEST_F(SpanJournal, IoSpansAreDoublyGated) {
+  { Span span(TimelineEventKind::kIo, "read", 1); }  // io spans still off
+  journal_.set_enabled(false);
+  journal_.set_io_spans_enabled(true);
+  { Span span(TimelineEventKind::kIo, "read", 2); }  // journal itself off
+  journal_.set_enabled(true);
+  { Span span(TimelineEventKind::kIo, "read", 3); }  // both on
+  journal_.set_io_spans_enabled(false);
+  { Span span(TimelineEventKind::kIo, "write", 4); }
+  const TimelineSnapshot snapshot = journal_.snapshot();
+  ASSERT_EQ(snapshot.events.size(), 1u);
+  EXPECT_EQ(snapshot.events[0].kind, TimelineEventKind::kIo);
+  EXPECT_EQ(snapshot.events[0].id, 3u);
+}
+
+TEST_F(SpanJournal, WaitEndsNowAndKeepsItsKind) {
+  Span::record_wait(TimelineEventKind::kQueueWait,
+                    std::chrono::steady_clock::now() -
+                        std::chrono::milliseconds(2),
+                    "job", 5);
+  const TimelineSnapshot snapshot = journal_.snapshot();
+  ASSERT_EQ(snapshot.events.size(), 1u);
+  const TimelineEvent& event = snapshot.events[0];
+  EXPECT_EQ(event.kind, TimelineEventKind::kQueueWait);
+  EXPECT_EQ(event.id, 5u);
+  EXPECT_GE(event.dur_micros, 2000u);
+  EXPECT_LE(event.start_micros + event.dur_micros,
+            TimelineJournal::now_micros());
 }
 
 // ---- Chrome trace export --------------------------------------------------

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -28,6 +29,7 @@
 #include "graph/transforms.h"
 #include "obs/exposition.h"
 #include "obs/metrics.h"
+#include "obs/span.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "service/batch_executor.h"
@@ -417,6 +419,59 @@ TEST(Batch, CacheOnOffAndThreadCountsAreByteIdentical) {
     EXPECT_EQ(warm.engine.index_queries, 0u);
     EXPECT_EQ(warm.engine.stream_scans, 0u);
   }
+}
+
+// One span per request boundary: the trace's slots and the journal's
+// events are the same measurements, not two clocks that happen to agree.
+TEST(Batch, TraceSlotsEqualTheJournalEventDurations) {
+  const auto a = make_artifacts(24, 0.3, 23, "service_trace_site");
+  GraphCatalog catalog;
+  const auto entry = catalog.open("g", spec_for(a));
+  QueryEngine engine(entry);
+  ResultCache cache(1u << 20);
+  const std::string line = "degree 3";
+  const std::string expected = QueryEngine(entry).execute_line(line);
+
+  ScopedObservability obs_on;
+  obs::Tracer::global().clear();
+  obs::TimelineJournal& journal = obs::TimelineJournal::global();
+  journal.reset();
+  journal.set_enabled(true);
+  const Dispatch dispatch{
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(2), 7};
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  const std::string response = execute_traced_line(
+      "tcp", engine, &cache, line, hits, misses, &dispatch);
+  journal.set_enabled(false);
+  const obs::TimelineSnapshot snapshot = journal.snapshot();
+  journal.reset();
+  EXPECT_EQ(response, expected);
+  EXPECT_EQ(misses, 1u);
+
+  const std::vector<obs::Trace> traces = obs::Tracer::global().slowest();
+  ASSERT_EQ(traces.size(), 1u);
+  std::array<std::uint64_t, obs::kTraceSlots> journaled{};
+  std::array<std::size_t, obs::kTraceSlots> events{};
+  std::uint64_t request_micros = 0;
+  for (const obs::TimelineEvent& event : snapshot.events) {
+    const std::size_t slot = obs::trace_slot(event.kind);
+    if (slot < obs::kTraceSlots) {
+      journaled[slot] += event.dur_micros;
+      ++events[slot];
+    }
+    if (event.kind == obs::TimelineEventKind::kRequest) {
+      request_micros = event.dur_micros;
+    }
+  }
+  // queue_wait, parse, cache_lookup (probe + insert on the miss), execute.
+  EXPECT_EQ(events, (std::array<std::size_t, obs::kTraceSlots>{1, 1, 2, 1}));
+  for (std::size_t slot = 0; slot < obs::kTraceSlots; ++slot) {
+    EXPECT_EQ(traces[0].span_micros[slot], journaled[slot])
+        << obs::trace_slot_name(slot);
+  }
+  EXPECT_GE(journaled[0], 2000u);
+  EXPECT_EQ(traces[0].total_micros, journaled[0] + request_micros);
 }
 
 TEST(ResultCache, LruEvictionRespectsByteBudget) {

@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <regex>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/cli.h"
+#include "util/fault_injection.h"
 #include "util/log.h"
 #include "util/memory_tracker.h"
 #include "util/rng.h"
@@ -311,6 +315,56 @@ TEST(Log, ConsecutiveLinesStayOrderedInTime) {
   const std::string second = format_log_line(LogLevel::kInfo, "b");
   // Lexicographic order of RFC 3339 stamps is chronological order.
   EXPECT_LE(first.substr(0, 20), second.substr(0, 20));
+}
+
+// install() publishes a new schedule while threads that already passed
+// the enabled() gate are inside decide(): they must read a whole
+// schedule, old or new, never one being overwritten.
+TEST(FaultShim, DecideRacesInstallSafely) {
+  fault::Schedule first;
+  first.seed = 1;
+  first.ops[static_cast<std::size_t>(fault::Op::kRead)].eintr = 0.5;
+  fault::Schedule second;
+  second.seed = 2;
+  second.ops[static_cast<std::size_t>(fault::Op::kRead)].error = 0.25;
+  fault::install(first);
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> decided{0};
+  std::vector<std::thread> deciders;
+  for (int t = 0; t < 4; ++t) {
+    deciders.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        (void)fault::decide(fault::Op::kRead, 64);
+        decided.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::thread installer([&] {
+    while (decided.load(std::memory_order_relaxed) < 100) {
+      std::this_thread::yield();
+    }
+    for (int i = 0; i < 200; ++i) fault::install(i % 2 == 0 ? second : first);
+    stop.store(true, std::memory_order_relaxed);
+  });
+  installer.join();
+  for (std::thread& t : deciders) t.join();
+
+  // The race leaves replay intact: each install restarts the same
+  // decision sequence.
+  const auto sequence = [&first] {
+    fault::install(first);
+    std::vector<int> kinds;
+    for (int i = 0; i < 32; ++i) {
+      kinds.push_back(
+          static_cast<int>(fault::decide(fault::Op::kRead, 64).kind));
+    }
+    return kinds;
+  };
+  const std::vector<int> replayed = sequence();
+  EXPECT_EQ(sequence(), replayed);
+  fault::disable();
+  EXPECT_GE(decided.load(), 100u);
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 //     register-tiled kernel both builders call);
 //   * the exact integer Spearman sweep (pmaddwd rank kernel) at 1 and 4
 //     threads, including the pipeline's 8000 x 300 shape;
-//   * quantile normalization of the pipeline's 8000 x 300 matrix at 1 and
-//     4 threads;
+//   * quantile normalization and Spearman standardization (midranks plus
+//     the int16 rank profiles) of the pipeline's 8000 x 300 matrix at 1
+//     and 4 threads;
 //   * the full in-memory graph build (standardize + sweep + bitmap graph);
 //   * the tiled out-of-core .gsbg build at 1/2/4/8 threads (kernel plus
 //     scratch/spill I/O).
@@ -185,6 +186,28 @@ void BM_QuantileNormalize(benchmark::State& state) {
       state.iterations() * f.raw.genes() * f.raw.samples()));
 }
 BENCHMARK(BM_QuantileNormalize)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Arg(1)
+    ->Arg(4);
+
+/// Spearman standardization of the pipeline's 8000 x 300 matrix (midranks,
+/// double profiles and int16 rank profiles), threads in arg 0.
+void BM_StandardizeRows(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  const Fixture& f = fixture(8000, 300);
+  std::optional<gsb::par::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  for (auto _ : state) {
+    const auto rows = gsb::bio::standardize_rows(
+        f.expression, gsb::bio::CorrelationMethod::kSpearman,
+        pool ? &*pool : nullptr);
+    benchmark::DoNotOptimize(rows.valid.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * f.expression.genes() * f.expression.samples()));
+}
+BENCHMARK(BM_StandardizeRows)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Arg(1)

@@ -48,12 +48,7 @@ std::size_t resolve_threads(std::size_t threads) {
 void midranks_into(std::span<const double> values,
                    StandardizeScratch& scratch) {
   const std::size_t n = values.size();
-  scratch.order.resize(n);
-  std::iota(scratch.order.begin(), scratch.order.end(), 0u);
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return values[a] < values[b];
-            });
+  radix_order(values, scratch.order, scratch.radix);
   scratch.ranks.assign(n, 0.0);
   std::size_t i = 0;
   while (i < n) {

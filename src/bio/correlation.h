@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bio/expression.h"
+#include "bio/radix_order.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 
@@ -31,15 +32,18 @@ double spearman(std::span<const double> x, std::span<const double> y);
 std::vector<double> midranks(std::span<const double> values);
 
 /// Reusable scratch for standardized_profile_into: the Spearman path needs
-/// a sort permutation and a rank buffer per call, and reusing them across
-/// a genes-long standardization pass removes the per-row allocation churn.
+/// a sort permutation, its radix buffers and a rank buffer per call, and
+/// reusing them across a genes-long standardization pass removes the
+/// per-row allocation churn.
 struct StandardizeScratch {
   std::vector<double> ranks;
   std::vector<std::uint32_t> order;
+  RadixScratch radix;
 };
 
-/// midranks, but writing into scratch.ranks and reusing scratch.order for
-/// the sort permutation — no allocations after the first call.
+/// midranks, but writing into scratch.ranks and reusing scratch.order and
+/// scratch.radix for the sort (radix_order; midranks do not depend on the
+/// order of tied values) — no allocations after the first call.
 void midranks_into(std::span<const double> values,
                    StandardizeScratch& scratch);
 

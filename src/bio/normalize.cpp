@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "bio/radix_order.h"
 #include "obs/span.h"
 #include "parallel/job_graph.h"
 #include "parallel/thread_pool.h"
@@ -42,11 +43,12 @@ void quantile_normalize(ExpressionMatrix& matrix, std::size_t threads) {
   par::ThreadPool* const shared = pool ? &*pool : nullptr;
 
   // Round 1, one job per group of samples: rank the genes of each sample
-  // on a contiguous copy of its column (the matrix is row-major, so the
-  // column itself sits at a samples-wide stride), then overwrite the
-  // column with its values in rank order.  Every cell is rewritten in
-  // round 3, so the originals are not kept.  A group spans one cache line
-  // of a row, so no two workers write the same line.
+  // with radix_order (tied genes in gene-index order) on a contiguous copy
+  // of its column (the matrix is row-major, so the column itself sits at a
+  // samples-wide stride), then overwrite the column with its values in
+  // rank order.  Every cell is rewritten in round 3, so the originals are
+  // not kept.  A group spans one cache line of a row, so no two workers
+  // write the same line.
   constexpr std::size_t kSamplesPerJob = 64 / sizeof(double);
   const std::size_t sample_jobs =
       (samples + kSamplesPerJob - 1) / kSamplesPerJob;
@@ -54,20 +56,19 @@ void quantile_normalize(ExpressionMatrix& matrix, std::size_t threads) {
     const std::size_t last = std::min(samples, (job + 1) * kSamplesPerJob);
     for (std::size_t s = job * kSamplesPerJob; s < last; ++s) body(s);
   };
+  struct Column {
+    std::vector<double> values;
+    RadixScratch radix;
+  };
   std::vector<std::vector<std::uint32_t>> order(samples);
-  std::vector<std::vector<double>> column(par::job_workers(shared));
+  std::vector<Column> column(par::job_workers(shared));
   par::run_jobs(shared, sample_jobs, [&](std::size_t job, std::size_t worker) {
-    std::vector<double>& values = column[worker];
+    std::vector<double>& values = column[worker].values;
     values.resize(genes);
     for_samples(job, [&](std::size_t s) {
       for (std::size_t g = 0; g < genes; ++g) values[g] = matrix.at(g, s);
       auto& idx = order[s];
-      idx.resize(genes);
-      std::iota(idx.begin(), idx.end(), 0u);
-      std::sort(idx.begin(), idx.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return values[a] < values[b];
-                });
+      radix_order(values, idx, column[worker].radix);
       for (std::size_t r = 0; r < genes; ++r) {
         matrix.at(r, s) = values[idx[r]];
       }

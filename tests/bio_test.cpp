@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/presets.h"
+#include "bio/radix_order.h"
 #include "util/rng.h"
 
 namespace gsb::bio {
@@ -39,6 +41,82 @@ TEST(Midranks, HandlesTies) {
   EXPECT_DOUBLE_EQ(ranks[3], 2.0);
   EXPECT_DOUBLE_EQ(ranks[0], 3.5);
   EXPECT_DOUBLE_EQ(ranks[2], 3.5);
+}
+
+/// The brute-force midrank: values below, plus the middle of the values
+/// equal to this one (itself included), under < and ==.
+std::vector<double> brute_force_midranks(const std::vector<double>& values) {
+  std::vector<double> ranks;
+  for (const double v : values) {
+    std::size_t less = 0;
+    std::size_t equal = 0;
+    for (const double w : values) {
+      less += w < v ? 1 : 0;
+      equal += w == v ? 1 : 0;
+    }
+    ranks.push_back(static_cast<double>(less) +
+                    static_cast<double>(equal + 1) / 2.0);
+  }
+  return ranks;
+}
+
+TEST(Midranks, MatchBruteForce) {
+  util::Rng rng(1291);
+  const double signed_zeros[] = {-0.0, 0.0, -1.0, 1.0};
+  for (const std::size_t s : {1u, 2u, 3u, 300u, 1291u}) {
+    std::vector<double> ties;  // small integers, heavily tied
+    std::vector<double> constant(s, 7.5);
+    std::vector<double> zeros;  // -0.0 and +0.0 tie, among +-1
+    for (std::size_t k = 0; k < s; ++k) {
+      ties.push_back(std::round(rng.normal(0.0, 2.0)));
+      zeros.push_back(signed_zeros[rng.below(4)]);
+    }
+    for (const auto& values : {ties, constant, zeros}) {
+      const std::vector<double> expected = brute_force_midranks(values);
+      const std::vector<double> actual = midranks(values);
+      ASSERT_EQ(actual.size(), s);
+      for (std::size_t k = 0; k < s; ++k) {
+        ASSERT_EQ(actual[k], expected[k]) << "S=" << s << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(RadixOrder, MatchesStableSort) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {-0.0, 0.0, kInf, -kInf, kMin, -kMin,
+                             std::numeric_limits<double>::min() / 3.0,
+                             -std::numeric_limits<double>::min() / 5.0,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             1.0, -1.0, 0.5, -2.0};
+  util::Rng rng(256);
+  RadixScratch scratch;
+  std::vector<std::uint32_t> actual;
+  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 8000u}) {
+    std::vector<double> random;
+    std::vector<double> mixed;
+    for (std::size_t i = 0; i < n; ++i) {
+      random.push_back(rng.normal(0.0, 1.0) *
+                       std::ldexp(1.0, static_cast<int>(rng.below(40)) - 20));
+      mixed.push_back(specials[rng.below(std::size(specials))]);
+    }
+    std::vector<double> sorted = random;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<double> reversed(sorted.rbegin(), sorted.rend());
+    const std::vector<double> equal(n, -3.25);
+    for (const auto& values : {random, equal, sorted, reversed, mixed}) {
+      std::vector<std::uint32_t> expected(n);
+      std::iota(expected.begin(), expected.end(), 0u);
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return values[a] < values[b];
+                       });
+      radix_order(values, actual, scratch);
+      ASSERT_EQ(actual, expected) << "n=" << n;
+    }
+  }
 }
 
 TEST(Correlation, PearsonKnownValues) {
@@ -148,9 +226,10 @@ void serial_quantile_normalize(ExpressionMatrix& matrix) {
   for (std::size_t s = 0; s < samples; ++s) {
     auto& idx = order[s];
     std::iota(idx.begin(), idx.end(), 0u);
-    std::sort(idx.begin(), idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return matrix.at(a, s) < matrix.at(b, s);
-    });
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return matrix.at(a, s) < matrix.at(b, s);
+                     });
   }
   std::vector<double> reference(genes, 0.0);
   for (std::size_t s = 0; s < samples; ++s) {
@@ -168,9 +247,10 @@ void serial_quantile_normalize(ExpressionMatrix& matrix) {
 
 TEST(Normalize, ParallelMatchesSerialWithTies) {
   // Quantized values tie heavily within every column, and column 3 is
-  // one value throughout, so std::sort's placement of tied genes decides
-  // which reference value each gets: the parallel code must reproduce it
-  // exactly, and ties are not averaged.
+  // one value throughout, so the placement of tied genes decides which
+  // reference value each gets: tied genes rank in gene-index order (the
+  // stable sort of the reference), at every thread count, and ties are
+  // not averaged.
   util::Rng rng(2005);
   ExpressionMatrix input(300, 17);
   for (std::size_t g = 0; g < input.genes(); ++g) {
@@ -195,6 +275,31 @@ TEST(Normalize, ParallelMatchesSerialWithTies) {
                           input.genes() * input.samples() * sizeof(double)),
               0)
         << threads << " threads";
+  }
+}
+
+TEST(Normalize, TiedGenesTakeReferenceValuesInGeneOrder) {
+  // Sample 0 ties genes 0 and 1, sample 2 ties them as +0.0 and -0.0.
+  // Genes in rank order: (2, 0, 1), (0, 2, 1), (0, 1, 2); the rank sums are
+  // 0+3+0, 1+5-0 and 1+6+2, so the reference is (1, 2, 3).
+  ExpressionMatrix input(3, 3);
+  const double cells[3][3] = {{1.0, 3.0, 0.0}, {1.0, 6.0, -0.0},
+                              {0.0, 5.0, 2.0}};
+  for (std::size_t g = 0; g < 3; ++g) {
+    for (std::size_t s = 0; s < 3; ++s) input.at(g, s) = cells[g][s];
+  }
+  const double expected[3][3] = {{2.0, 1.0, 1.0}, {3.0, 3.0, 2.0},
+                                 {1.0, 2.0, 3.0}};
+  for (const std::size_t threads : {1u, 2u}) {
+    ExpressionMatrix actual = input;
+    quantile_normalize(actual, threads);
+    for (std::size_t g = 0; g < 3; ++g) {
+      for (std::size_t s = 0; s < 3; ++s) {
+        EXPECT_EQ(actual.at(g, s), expected[g][s])
+            << "gene " << g << " sample " << s << ", " << threads
+            << " threads";
+      }
+    }
   }
 }
 

@@ -7,9 +7,11 @@
 //     baseline this PR's acceptance criterion measures against);
 //   * sequential degeneracy-ordered BK with max-candidate pivoting;
 //   * the same, directly off a memory-mapped .gsbg (storage-aware path);
-//   * the work-stealing parallel driver at 1/2/4/8 threads;
+//   * the chunked parallel driver at 1/2/4/8 threads;
 //   * parallel BK spilling into a .gsbc clique stream (the bounded-memory
-//     output path `gsb cliques --clique-out` uses).
+//     output path `gsb cliques --clique-out` uses), from the in-memory
+//     graph and from the mapped .gsbg — the latter the shape of
+//     perfbench's dense-cliques workload.
 //
 // Every variant reports cliques/s (items) on the same planted-module
 // graph — a dense overlapping-clique workload where pivot quality and
@@ -152,6 +154,33 @@ void BM_ParallelBkToGsbcStream(benchmark::State& state) {
       cliques * static_cast<std::uint64_t>(state.iterations())));
 }
 BENCHMARK(BM_ParallelBkToGsbcStream)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_ParallelBkMappedStream(benchmark::State& state) {
+  const auto mapped = gsb::storage::MappedGraph::open(fixture().gsbg_path);
+  const gsb::graph::GraphView g = mapped.view();
+  gsb::core::ParallelBkOptions options;
+  options.threads = static_cast<std::size_t>(state.range(0));
+  std::uint64_t cliques = 0;
+  for (auto _ : state) {
+    gsb::storage::GsbcWriter writer(fixture().gsbc_path, g.order());
+    gsb::core::parallel_bk(
+        g,
+        [&writer](std::span<const gsb::graph::VertexId> clique) {
+          writer.append(clique);
+        },
+        options);
+    cliques = writer.clique_count();
+    writer.close();
+    benchmark::DoNotOptimize(cliques);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      cliques * static_cast<std::uint64_t>(state.iterations())));
+}
+BENCHMARK(BM_ParallelBkMappedStream)
+    ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -51,7 +51,6 @@
 #include "bio/generator.h"
 #include "bio/normalize.h"
 #include "bio/tiled_correlation.h"
-#include "core/bron_kerbosch.h"
 #include "core/clique.h"
 #include "core/maximum_clique.h"
 #include "core/parallel_bk.h"
@@ -267,18 +266,15 @@ std::size_t size_flag(const util::Cli& cli, const std::string& name,
 }
 
 /// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
-/// sequential at --threads 1, the work-stealing parallel driver otherwise.
-/// \p ordered selects the deterministic merge — callers whose sink is
-/// order-insensitive (pure counting) skip the reorder buffering entirely.
-/// Returns wall seconds; scheduling detail goes to stderr when verbose.
+/// parallel_bk runs the sequential kernel at --threads 1 and chunked root
+/// ranges otherwise.  \p ordered selects the deterministic merge —
+/// callers whose sink is order-insensitive (pure counting) drain chunks
+/// as they finish.  Returns wall seconds; scheduling detail goes to
+/// stderr when verbose.
 double run_bk_engine(const graph::GraphView& g, const core::SizeRange& range,
                      std::size_t threads, const core::CliqueCallback& sink,
                      bool ordered, bool verbose) {
   util::Timer timer;
-  if (threads == 1) {
-    core::degeneracy_bk(g, sink, range);
-    return timer.seconds();
-  }
   core::ParallelBkOptions options;
   options.range = range;
   options.threads = threads;
@@ -286,9 +282,9 @@ double run_bk_engine(const graph::GraphView& g, const core::SizeRange& range,
   const auto stats = core::parallel_bk(g, sink, options);
   if (verbose) {
     std::fprintf(stderr,
-                 "bk: degeneracy %zu, %zu threads, %llu roots stolen, "
-                 "reorder peak %s\n",
-                 stats.degeneracy, stats.threads,
+                 "bk: degeneracy %zu, %zu threads, %zu root chunks "
+                 "(%llu stolen), reorder peak %s\n",
+                 stats.degeneracy, stats.threads, stats.chunks,
                  static_cast<unsigned long long>(stats.steals),
                  util::format_bytes(stats.peak_pending_bytes).c_str());
   }

@@ -3,7 +3,7 @@
 
 /// \file bk_kernel.h
 /// The pivoted Bron–Kerbosch subtree search shared by the sequential
-/// degeneracy-ordered variant (bron_kerbosch.cpp) and the work-stealing
+/// degeneracy-ordered variant (bron_kerbosch.cpp) and the chunked
 /// parallel driver (parallel_bk.cpp).
 ///
 /// Both slice the problem the same way: vertex v_i of a degeneracy order
@@ -24,8 +24,13 @@
 /// order, so candidate iteration, pivot tie-breaking (CANDIDATES first,
 /// then NOT, each ascending) and branch order — hence the search tree and
 /// the emission sequence — are exactly those of a global-width search.
-/// Per root the local rows cost O(|P|·|L|) bit tests and |L|·⌈|L|/64⌉
-/// words, reused across roots; a root with empty P builds none.
+/// Per root the local rows cost |L|·⌈|L|/64⌉ words, reused across roots;
+/// a root with empty P builds none.  L and, on a view with CSR rows (a
+/// mapped .gsbg), the local rows come from GraphView::for_each_neighbor:
+/// each P vertex's ascending neighbor ids are looked up in a vertex-
+/// indexed slot table (n ids per search, set and cleared per root), so a
+/// root reads its members' degree-many ids instead of probing n-bit rows.
+/// Without CSR rows each P vertex costs |L| bit tests of its n-bit row.
 ///
 /// The search owns its buffers (pooled, no allocation after warm-up) and
 /// is deliberately single-threaded: the parallel driver holds one
@@ -65,9 +70,7 @@ class BkPivotSearch {
   void run_root(VertexId root, std::span<const std::size_t> position) {
     const std::size_t rank = position[root];
     local_.clear();
-    g_.neighbors(root).for_each([&](std::size_t u) {
-      local_.push_back(static_cast<VertexId>(u));
-    });
+    g_.for_each_neighbor(root, [&](VertexId u) { local_.push_back(u); });
     width_ = local_.size();
     Frame& f = frame(0);
     f.cand.clear_all();
@@ -124,12 +127,30 @@ class BkPivotSearch {
   void build_rows(const bits::DynamicBitset& p) {
     row_words_ = bits::BitsetView::word_count(width_);
     rows_.assign(width_ * row_words_, 0);
+    const auto tested_from = [&](std::size_t u, std::size_t v) {
+      return v > u || !p.test(v);
+    };
+    if (!g_.has_csr()) {
+      p.for_each([&](std::size_t u) {
+        const bits::BitsetView adjacent = g_.neighbors(local_[u]);
+        for (std::size_t v = 0; v < width_; ++v) {
+          if (tested_from(u, v) && adjacent.test(local_[v])) link(u, v);
+        }
+      });
+      return;
+    }
+    // CSR rows: walk u's neighbor ids and look each up in L.
+    if (slot_.empty()) slot_.assign(g_.order(), 0);
+    for (std::size_t v = 0; v < width_; ++v) {
+      slot_[local_[v]] = static_cast<VertexId>(v + 1);
+    }
     p.for_each([&](std::size_t u) {
-      const bits::BitsetView adjacent = g_.neighbors(local_[u]);
-      for (std::size_t v = 0; v < width_; ++v) {
-        if ((v > u || !p.test(v)) && adjacent.test(local_[v])) link(u, v);
-      }
+      g_.for_each_neighbor(local_[u], [&](VertexId w) {
+        const std::size_t slot = slot_[w];
+        if (slot != 0 && tested_from(u, slot - 1)) link(u, slot - 1);
+      });
     });
+    for (std::size_t v = 0; v < width_; ++v) slot_[local_[v]] = 0;
   }
 
   void emit() {
@@ -187,6 +208,7 @@ class BkPivotSearch {
   std::vector<VertexId> compsub_;  ///< global ids, root first
   std::vector<Frame> frames_;
   std::vector<VertexId> local_;  ///< L: local index -> global id, ascending
+  std::vector<VertexId> slot_;   ///< global id -> local index + 1 (0: not in L)
   std::size_t width_ = 0;        ///< |L|
   std::vector<Word> rows_;       ///< |L| local rows, row_words_ words each
   std::size_t row_words_ = 0;

@@ -2,31 +2,31 @@
 #define GSB_CORE_PARALLEL_BK_H
 
 /// \file parallel_bk.h
-/// Work-stealing parallel Bron–Kerbosch over degeneracy-ordered roots.
+/// Parallel Bron–Kerbosch over chunked ranges of degeneracy-ordered roots.
 ///
 /// The degeneracy variant (bron_kerbosch.h) already partitions the output:
 /// vertex v_i of the degeneracy order roots an independent subtree holding
 /// exactly the maximal cliques whose earliest-ordered member is v_i.  This
-/// driver fans those roots out over the shared par::ThreadPool:
+/// driver runs those roots in parallel the way the Clique Enumerator runs
+/// its sub-lists (parallel/chunk_round.h):
 ///
-///   * per-root costs are estimated from the later-neighbor count (the
-///     root's CANDIDATES size) and planned by the centralized
-///     par::LoadBalancer, with roots dealt round-robin across threads so
-///     completion order tracks the global root order;
-///   * at runtime, a worker that drains its own queue steals unstarted
-///     roots from the other queues through par::JobGraph (§2.3's
-///     transfers to "light-loaded (or idle)" threads) — dense subtrees
-///     cannot serialize the run;
-///   * emission goes through a reorder buffer: each root's cliques are
-///     buffered until every earlier root has been emitted, so with
-///     `deterministic` (the default) the sink observes the exact sequence
-///     the sequential degeneracy variant would produce, for every thread
-///     count.  Pending bytes are tracked (MemTag::kCliqueStorage) and
-///     held to a window (`reorder_window_bytes` plus in-flight roots) by
-///     backpressure on claiming, never the full output — which is what
-///     lets `gsb cliques --clique-out` spill cliques to a .gsbc stream
-///     at terabyte-scale outputs.
+///   * the peel records each root's later-neighbor count c (its
+///     CANDIDATES size); the order is cut into contiguous root ranges of
+///     about equal summed c³/6 + c + 1, par::kChunksPerWorker per worker;
+///   * the ranges are dealt round-robin, planned by par::LoadBalancer and
+///     run as one par::JobGraph round; a worker that drains its own queue
+///     steals unstarted ranges from the others (§2.3's transfers to
+///     "light-loaded (or idle)" threads);
+///   * each range fills one flat buffer of its cliques, and with
+///     `deterministic` (the default) the buffers drain in range order,
+///     so the sink observes the exact sequence the sequential degeneracy
+///     variant produces, at every thread count.  Buffered bytes are
+///     tracked (MemTag::kCliqueStorage) and held to `reorder_window_bytes`
+///     plus the ranges in flight by the scheduler's backpressure, never
+///     the full output — which is what lets `gsb cliques --clique-out`
+///     spill cliques to a .gsbc stream at terabyte-scale outputs.
 ///
+/// With one worker the sequential kernel writes straight into the sink.
 /// The sink is never invoked concurrently.
 
 #include <cstdint>
@@ -48,22 +48,21 @@ struct ParallelBkOptions {
   /// Worker count; 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Emit cliques in sequential degeneracy order regardless of thread
-  /// count (reorder-buffer merge).  When false, each root's cliques are
-  /// emitted as soon as the root completes — same clique *set*, lower
+  /// count (ordered drain).  When false, each root range's cliques are
+  /// emitted as soon as the range completes — same clique *set*, lower
   /// latency, order dependent on scheduling.
   bool deterministic = true;
-  /// Soft cap on reorder-buffer bytes awaiting emission (deterministic
-  /// mode).  When pending output exceeds it, workers are redirected to
-  /// claim the next-to-emit root (its queue head) instead of new work —
-  /// or wait if that root is already running — so the merge drains
-  /// instead of letting the remaining output pile up in RAM.  Peak
-  /// pending can overshoot by the in-flight roots' outputs.
-  /// 0 = unbounded.
+  /// Soft cap on buffered bytes awaiting emission (deterministic mode).
+  /// When pending output exceeds it, workers are redirected to claim the
+  /// next-to-emit root range instead of new work — or wait if that range
+  /// is already running — so the merge drains instead of letting the
+  /// remaining output pile up in RAM.  Peak pending can overshoot by the
+  /// in-flight ranges' outputs.  0 = unbounded.
   std::size_t reorder_window_bytes = 64u << 20;
   /// Scheduler policy knobs (plan-time assignment).
   par::LoadBalancerConfig balancer;
-  /// Runtime stealing: idle threads claim unstarted roots from the
-  /// heaviest remaining queue.  Disable to measure the static-plan-only
+  /// Runtime stealing: idle threads claim unstarted root ranges from
+  /// other threads' queues.  Disable to measure the static-plan-only
   /// ablation.
   bool dynamic_claiming = true;
   /// Byte accounting sink; defaults to the process-global tracker.
@@ -75,12 +74,13 @@ struct ParallelBkStats {
   BronKerboschStats base;
   std::size_t threads = 0;
   std::size_t degeneracy = 0;      ///< of the input graph
-  std::uint64_t steals = 0;        ///< roots executed off their planned thread
-  std::uint64_t transfers = 0;     ///< plan-time moves by the balancer
+  std::size_t chunks = 0;          ///< root ranges (1 with one worker)
+  std::uint64_t steals = 0;        ///< ranges executed off their planned thread
+  std::uint64_t transfers = 0;     ///< ranges moved by the balancer's plan
   double total_seconds = 0.0;
-  /// busy seconds per thread (CPU time inside claimed roots).
+  /// busy seconds per thread (CPU time inside claimed root ranges).
   std::vector<double> thread_busy_seconds;
-  /// High-water mark of reorder-buffer bytes awaiting emission — the
+  /// High-water mark of buffered bytes awaiting emission — the
   /// quantity the bounded-output tests assert stays far below the total
   /// clique bytes.
   std::size_t peak_pending_bytes = 0;

@@ -6,7 +6,7 @@
 #include "core/detail/sublist_kernel.h"
 #include "core/kclique.h"
 #include "graph/transforms.h"
-#include "parallel/job_graph.h"
+#include "parallel/chunk_round.h"
 #include "parallel/thread_pool.h"
 #include "util/timer.h"
 
@@ -15,90 +15,7 @@ namespace {
 
 using detail::MappedSink;
 using graph::VertexId;
-
-/// Jobs per worker in one round: enough slack for stealing to even out
-/// cost-estimate errors, few enough that scheduling stays negligible.
-constexpr std::size_t kChunksPerWorker = 8;
-
-/// A contiguous run of tasks (seed pairs/roots, or sub-lists) run by one
-/// job.
-struct Chunk {
-  std::size_t first = 0;  ///< index of the first task in the round
-  std::size_t count = 0;
-  std::uint64_t cost = 0;
-  std::uint32_t home = 0;  ///< worker that produced the chunk's input
-};
-
-/// Cuts \p count tasks into contiguous chunks of about equal cost;
-/// next_cost() yields the task costs in order, and they sum to \p total.
-template <typename CostFn>
-std::vector<Chunk> plan_chunks(std::size_t count, std::uint64_t total,
-                               std::size_t workers, CostFn&& next_cost) {
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, total / (workers * kChunksPerWorker));
-  std::vector<Chunk> chunks;
-  Chunk chunk;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (chunk.count == 0) chunk.first = i;
-    chunk.cost += next_cost();
-    ++chunk.count;
-    if (chunk.cost >= target) {
-      chunks.push_back(chunk);
-      chunk = Chunk{};
-    }
-  }
-  if (chunk.count != 0) chunks.push_back(chunk);
-  return chunks;
-}
-
-/// Per-worker CPU seconds and plan/steal counts of one round.
-struct RoundStats {
-  std::vector<double> busy_seconds;
-  std::uint64_t transfers = 0;
-};
-
-/// Runs one ordered JobGraph round, one job per chunk.  The LoadBalancer
-/// plans the chunks over the workers from their costs and homes; bodies
-/// run in parallel and `complete(c)` runs in chunk order.
-template <typename BodyFn, typename CompleteFn>
-RoundStats run_round(par::ThreadPool& pool, const ParallelOptions& options,
-                     const par::LoadBalancer& balancer,
-                     std::span<const Chunk> chunks, BodyFn&& body,
-                     CompleteFn&& complete) {
-  const std::size_t workers = pool.size();
-  std::vector<std::uint64_t> costs(chunks.size());
-  std::vector<std::uint32_t> homes(chunks.size());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    costs[c] = chunks[c].cost;
-    homes[c] = chunks[c].home;
-  }
-  const par::Assignment plan = balancer.assign(costs, homes, workers);
-  std::vector<std::uint32_t> queue_of(chunks.size(), 0);
-  for (std::uint32_t t = 0; t < plan.tasks.size(); ++t) {
-    for (const std::uint32_t c : plan.tasks[t]) queue_of[c] = t;
-  }
-
-  RoundStats round;
-  round.busy_seconds.assign(workers, 0.0);
-  par::JobGraph::Options graph_options;
-  graph_options.ordered = true;
-  graph_options.steal = options.dynamic_claiming;
-  par::JobGraph jobs(&pool, graph_options);
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    par::JobGraph::JobSpec spec;
-    spec.home = queue_of[c];
-    spec.run = [&, c](std::size_t wid) {
-      const double cpu_begin = util::thread_cpu_seconds();
-      body(c, wid);
-      round.busy_seconds[wid] += util::thread_cpu_seconds() - cpu_begin;
-    };
-    spec.complete = [&, c] { complete(c); };
-    jobs.add(std::move(spec));
-  }
-  jobs.run();
-  round.transfers = plan.transfers + jobs.stats().jobs_stolen;
-  return round;
-}
+using par::Chunk;
 
 /// Output of one job, parked until its ordered completion.
 struct ChunkOutput {
@@ -171,6 +88,8 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
 
   par::ThreadPool pool(num_threads);
   const par::LoadBalancer balancer(options.balancer);
+  par::RoundOptions round_options;
+  round_options.steal = options.dynamic_claiming;
   const auto add_busy = [&](const std::vector<double>& busy) {
     for (std::size_t t = 0; t < busy.size(); ++t) {
       pstats.thread_busy_seconds[t] += busy[t];
@@ -210,7 +129,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     std::uint64_t total = 0;
     for (const std::uint64_t cost : costs) total += cost;
     std::vector<Chunk> chunks =
-        plan_chunks(costs.size(), total, num_threads,
+        par::plan_chunks(costs.size(), total, num_threads,
                     [&, i = std::size_t{0}]() mutable { return costs[i++]; });
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       chunks[c].home = static_cast<std::uint32_t>(c % num_threads);
@@ -221,8 +140,8 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
       stats.seed_trace.task_work.assign(costs.size(), 0);
       stats.seed_trace.task_seconds.assign(costs.size(), 0.0);
     }
-    const RoundStats round = run_round(
-        pool, options, balancer, chunks,
+    const par::RoundStats round = par::run_round(
+        pool, round_options, balancer, chunks,
         [&](std::size_t c, std::size_t wid) {
           ChunkOutput& out = outputs[c];
           out.producer = static_cast<std::uint32_t>(wid);
@@ -248,6 +167,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
             }
           }
           out.seed_level = worker.take_level();
+          return std::size_t{0};
         },
         [&](std::size_t c) {
           ChunkOutput& out = outputs[c];
@@ -259,7 +179,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
         });
     pstats.seed_thread_seconds = round.busy_seconds;
     add_busy(round.busy_seconds);
-    pstats.total_transfers += round.transfers;
+    pstats.total_transfers += round.transfers + round.steals;
   }
   stats.seed_seconds = seed_timer.seconds();
 
@@ -295,7 +215,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     std::size_t b = 0;
     std::size_t i = 0;
     std::vector<Chunk> chunks =
-        plan_chunks(counts.sublists, total, num_threads, [&]() {
+        par::plan_chunks(counts.sublists, total, num_threads, [&]() {
           while (i == blocks[b].size()) {
             ++b;
             i = 0;
@@ -320,8 +240,8 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     std::vector<ChunkOutput> outputs(chunks.size());
     Level next(&tracker);
     std::vector<std::uint32_t> next_home;
-    const RoundStats round = run_round(
-        pool, options, balancer, chunks,
+    const par::RoundStats round = par::run_round(
+        pool, round_options, balancer, chunks,
         [&](std::size_t c, std::size_t wid) {
           ChunkOutput& out = outputs[c];
           if (c < spare.size()) out.block = std::move(spare[c]);
@@ -349,6 +269,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
                 trace.task_seconds[task] = task_timer.seconds();
                 ++task;
               });
+          return std::size_t{0};
         },
         [&](std::size_t c) {
           ChunkOutput& out = outputs[c];
@@ -371,7 +292,7 @@ ParallelEnumerationStats enumerate_maximal_cliques_parallel(
     stats.levels.push_back(level);
     add_busy(round.busy_seconds);
     pstats.level_thread_seconds.push_back(round.busy_seconds);
-    pstats.total_transfers += round.transfers;
+    pstats.total_transfers += round.transfers + round.steals;
     if (options.record_trace) stats.traces.push_back(std::move(trace));
     if (options.progress) options.progress(level);
   }

@@ -11,7 +11,9 @@
 ///     compile unchanged), or
 ///   * the bitmap section of a memory-mapped .gsbg file
 ///     (storage::MappedGraph::view()), in which case the enumerators run
-///     directly off disk: the OS pages in only the rows they touch.
+///     directly off disk: the OS pages in only the rows they touch.  The
+///     file's CSR section rides along, so walks over a vertex's neighbors
+///     (for_each_neighbor) read its degree-many ids, not an n-bit row.
 ///
 /// The view borrows: its source (and, for mapped graphs, the mapping) must
 /// outlive it.  Construction is O(n) (a row-pointer table); all accessors
@@ -38,10 +40,13 @@ class GraphView {
 
   /// View over a contiguous row-major bitmap: row v occupies
   /// words_per_row words starting at base + v * words_per_row.  \p degrees
-  /// must hold n entries and outlive the view.  This is the mapped-file
-  /// entry point.
+  /// must hold n entries and outlive the view.  \p csr_offsets (n + 1
+  /// entries) and \p csr_targets, when given, list the same adjacency as
+  /// ascending ids per row.  This is the mapped-file entry point.
   GraphView(const Word* base, std::size_t words_per_row, std::size_t n,
-            std::size_t num_edges, const std::size_t* degrees);
+            std::size_t num_edges, const std::size_t* degrees,
+            const std::uint64_t* csr_offsets = nullptr,
+            const std::uint32_t* csr_targets = nullptr);
 
   [[nodiscard]] std::size_t order() const noexcept { return n_; }
   [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
@@ -68,6 +73,27 @@ class GraphView {
 
   [[nodiscard]] std::size_t max_degree() const noexcept;
 
+  /// True when for_each_neighbor reads CSR rows rather than bit rows.
+  [[nodiscard]] bool has_csr() const noexcept {
+    return csr_targets_ != nullptr;
+  }
+
+  /// Calls fn(u) for every neighbor u of \p v in increasing order: off
+  /// the CSR row when the view has one, else off the bit row.
+  template <typename Fn>
+  void for_each_neighbor(VertexId v, Fn&& fn) const {
+    if (csr_targets_ != nullptr) {
+      const std::uint32_t* end = csr_targets_ + csr_offsets_[v + 1];
+      for (const std::uint32_t* u = csr_targets_ + csr_offsets_[v]; u != end;
+           ++u) {
+        fn(static_cast<VertexId>(*u));
+      }
+    } else {
+      neighbors(v).for_each(
+          [&](std::size_t u) { fn(static_cast<VertexId>(u)); });
+    }
+  }
+
   /// Neighbor indices of \p v in increasing order.
   [[nodiscard]] std::vector<VertexId> neighbor_list(VertexId v) const {
     return neighbors(v).to_vector();
@@ -81,6 +107,8 @@ class GraphView {
   std::size_t num_edges_ = 0;
   std::vector<const Word*> rows_;   ///< row word pointers, one per vertex
   const std::size_t* degrees_ = nullptr;
+  const std::uint64_t* csr_offsets_ = nullptr;  ///< n + 1, or null
+  const std::uint32_t* csr_targets_ = nullptr;
 };
 
 }  // namespace gsb::graph

@@ -101,14 +101,16 @@ DegeneracyResult degeneracy_order(const GraphView& g) {
     result.degeneracy = std::max(result.degeneracy, cursor);
     alive.reset(v);
     result.order.push_back(v);
-    g.neighbors(v).for_each([&](std::size_t u) {
+    g.for_each_neighbor(v, [&](VertexId u) {
       if (alive.test(u)) {
         --degree[u];
-        buckets[degree[u]].push_back(static_cast<VertexId>(u));
+        buckets[degree[u]].push_back(u);
         if (degree[u] < cursor) cursor = degree[u];
       }
     });
   }
+  // A removed vertex's entry is frozen at its degree when removed.
+  result.later = std::move(degree);
   return result;
 }
 

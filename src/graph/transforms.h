@@ -41,10 +41,14 @@ InducedSubgraph kcore_subgraph(const GraphView& g, std::size_t k);
 /// Degeneracy ordering (repeatedly remove a minimum-degree vertex).
 /// Accepts any GraphView, so the ordering can be computed directly off a
 /// memory-mapped .gsbg (the degeneracy-ordered Bron–Kerbosch outer loop
-/// depends on this).
+/// depends on this); it walks neighbors with for_each_neighbor, so a view
+/// with CSR rows peels without touching the bitmap.
 struct DegeneracyResult {
   std::vector<VertexId> order;  ///< removal order
   std::size_t degeneracy = 0;   ///< max degree at removal time
+  /// later[v]: v's degree at removal, i.e. its neighbors after it in
+  /// `order` (the CANDIDATES size of the Bron–Kerbosch root v).
+  std::vector<std::size_t> later;
 };
 DegeneracyResult degeneracy_order(const GraphView& g);
 

@@ -23,7 +23,7 @@
 /// the order `add` was called — one at a time, regardless of worker
 /// count.  Emitting output only from `complete` therefore yields the
 /// same bytes at 1 or N threads.  `Options::window_bytes` bounds the
-/// reorder window exactly like parallel_bk's emitter: when finished-
+/// reorder window (parallel_bk's buffered cliques): when finished-
 /// but-undrained completions exceed the window, workers redirect to the
 /// next-to-drain job instead of opening new work.
 ///

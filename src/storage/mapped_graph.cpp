@@ -188,6 +188,17 @@ MappedGraph MappedGraph::open(const std::string& path,
     g.degrees_[v] =
         static_cast<std::size_t>(g.offsets_[v + 1] - g.offsets_[v]);
   }
+  // Rows feed vertex-indexed arrays (GraphView::for_each_neighbor walks
+  // them), so each must hold strictly ascending ids below n.
+  for (std::uint64_t v = 0; v < n; ++v) {
+    std::uint64_t next = 0;
+    for (std::uint64_t e = g.offsets_[v]; e < g.offsets_[v + 1]; ++e) {
+      if (g.targets_[e] < next || g.targets_[e] >= n) {
+        fail("csr row is not ascending ids below n");
+      }
+      next = std::uint64_t{g.targets_[e]} + 1;
+    }
+  }
 
   // --- optional sections -----------------------------------------------------
   if (const GsbgSection* bitmap = find(SectionKind::kBitmap)) {
@@ -270,7 +281,7 @@ graph::GraphView MappedGraph::view() const {
     fail("file has no bitmap section; use load() or rewrite with bitmap");
   }
   return graph::GraphView(bitmap_, words_per_row_, order(), num_edges(),
-                          degrees_.data());
+                          degrees_.data(), offsets_.data(), targets_.data());
 }
 
 graph::Graph MappedGraph::load() const {
@@ -278,7 +289,6 @@ graph::Graph MappedGraph::load() const {
   const std::uint64_t n = header_.n;
   for (std::uint64_t v = 0; v < n; ++v) {
     for (const std::uint32_t u : csr_row(static_cast<graph::VertexId>(v))) {
-      if (u >= n) fail("csr target out of range");
       if (u > v) g.add_edge(static_cast<graph::VertexId>(v), u);
     }
   }

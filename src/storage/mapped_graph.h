@@ -4,10 +4,11 @@
 /// \file mapped_graph.h
 /// Memory-mapped read access to a `.gsbg` graph container.
 ///
-/// Opening is O(n) (header/section validation plus a degree scan of the CSR
-/// offsets) and maps the file read-only; no adjacency data is copied.  When
-/// the file carries a bitmap section, view() exposes it through the same
-/// graph::GraphView every clique algorithm consumes, so enumeration,
+/// Opening is O(n + m) (header/section validation plus one scan of the CSR
+/// offsets and targets) and maps the file read-only; no adjacency data is
+/// copied.  When the file carries a bitmap section, view() exposes it, with
+/// the CSR rows beside it, through the same graph::GraphView every clique
+/// algorithm consumes, so enumeration,
 /// maximum clique, paracliques and hub analysis run directly off disk —
 /// the OS pages in exactly the rows the algorithms touch, which is the
 /// storage/compute separation the genome-scale instances need.
@@ -89,7 +90,8 @@ class MappedGraph {
     return permutation_;
   }
 
-  /// Zero-copy adjacency view over the mapped bitmap section.  Throws if
+  /// Zero-copy adjacency view over the mapped bitmap and CSR sections
+  /// (GraphView::for_each_neighbor walks the CSR rows).  Throws if
   /// the file was written without one.  The view (and anything holding it)
   /// must not outlive this MappedGraph.
   [[nodiscard]] graph::GraphView view() const;

@@ -1,17 +1,21 @@
 // Differential tests for the degeneracy-ordered Bron–Kerbosch engine and
-// its work-stealing parallel driver: BK over a mapped .gsbg equals BK over
-// the in-memory Graph equals the Clique Enumerator's maximal set on 20
-// seeded graphs, across threads 1/2/4/8; deterministic-merge emission is
-// byte-identical at every thread count; the reorder window stays bounded;
-// the search tree and emission sequence match constants recorded from the
-// global-width search on roots whose neighborhoods straddle word
-// boundaries.
+// its chunked parallel driver: BK over a mapped .gsbg equals BK over the
+// in-memory Graph equals the Clique Enumerator's maximal set on 20 seeded
+// graphs, across threads 1/2/4/8; the peel over a mapped view's CSR rows
+// equals the peel over bit rows; deterministic-merge emission is
+// identical to the sequential sequence at every thread count, mapped or
+// in memory; the reorder window stays bounded; the search tree and
+// emission sequence match constants recorded from the global-width search
+// on roots whose neighborhoods straddle word boundaries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+
+#include <unistd.h>
 
 #include "core/bron_kerbosch.h"
 #include "core/parallel_bk.h"
@@ -55,11 +59,13 @@ std::vector<graph::VertexId> emission_sequence(const graph::GraphView& g,
   return flat;
 }
 
-/// Writes \p g to a temporary .gsbg and returns the path.
+/// Writes \p g to a temporary .gsbg and returns the path (unique per
+/// process, so concurrent runs of this binary do not collide).
 std::string write_temp_gsbg(const graph::Graph& g, int tag) {
   const std::string path =
       (fs::temp_directory_path() /
-       ("parallel_bk_test_" + std::to_string(tag) + ".gsbg"))
+       ("parallel_bk_test_" + std::to_string(::getpid()) + "_" +
+        std::to_string(tag) + ".gsbg"))
           .string();
   storage::write_gsbg_file(g, path);
   return path;
@@ -144,6 +150,127 @@ TEST(ParallelBk, DifferentialSweepMemoryMappedEnumerator) {
     }
     std::remove(path.c_str());
   }
+}
+
+/// Flat emission transcript of the sequential degeneracy variant.
+std::vector<graph::VertexId> sequential_sequence(const graph::GraphView& g) {
+  std::vector<graph::VertexId> flat;
+  degeneracy_bk(g, [&](std::span<const graph::VertexId> clique) {
+    flat.push_back(static_cast<graph::VertexId>(clique.size()));
+    flat.insert(flat.end(), clique.begin(), clique.end());
+  });
+  return flat;
+}
+
+/// An overlapping-module graph: enough roots, and enough cost spread
+/// between them, that every thread count cuts many uneven chunks.
+graph::Graph module_graph(std::uint64_t seed) {
+  util::Rng rng(seed);
+  graph::ModuleGraphConfig config;
+  config.n = 600;
+  config.num_modules = 60;
+  config.max_module_size = 16;
+  config.overlap = 0.3;
+  config.background_edges = 900;
+  return graph::planted_modules(config, rng).graph;
+}
+
+TEST(DegeneracyOrder, CsrViewMatchesBitRows) {
+  for (int seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const graph::Graph built =
+        seed < 3 ? test::random_graph(80 + 10 * seed, 0.15, seed)
+                 : module_graph(static_cast<std::uint64_t>(seed));
+    const std::string path = write_temp_gsbg(built, 100 + seed);
+    {
+      const auto mapped = storage::MappedGraph::open(path);
+      const graph::GraphView csr = mapped.view();
+      ASSERT_TRUE(csr.has_csr());
+      const graph::Graph loaded = mapped.load();
+      const graph::GraphView bits(loaded);
+      ASSERT_FALSE(bits.has_csr());
+
+      for (graph::VertexId v = 0; v < csr.order(); ++v) {
+        std::vector<graph::VertexId> walked;
+        csr.for_each_neighbor(v, [&](graph::VertexId u) {
+          walked.push_back(u);
+        });
+        ASSERT_EQ(walked, bits.neighbor_list(v)) << "vertex " << v;
+      }
+
+      const graph::DegeneracyResult from_csr = graph::degeneracy_order(csr);
+      const graph::DegeneracyResult from_bits = graph::degeneracy_order(bits);
+      EXPECT_EQ(from_csr.order, from_bits.order);
+      EXPECT_EQ(from_csr.degeneracy, from_bits.degeneracy);
+      EXPECT_EQ(from_csr.later, from_bits.later);
+
+      // later[v] is v's neighbor count after it in the order, and the
+      // degeneracy is its maximum.
+      std::vector<std::size_t> position(csr.order());
+      for (std::size_t i = 0; i < from_csr.order.size(); ++i) {
+        position[from_csr.order[i]] = i;
+      }
+      std::size_t max_later = 0;
+      for (graph::VertexId v = 0; v < csr.order(); ++v) {
+        std::size_t later = 0;
+        for (const graph::VertexId u : bits.neighbor_list(v)) {
+          if (position[u] > position[v]) ++later;
+        }
+        ASSERT_EQ(from_csr.later[v], later) << "vertex " << v;
+        max_later = std::max(max_later, later);
+      }
+      EXPECT_EQ(from_csr.degeneracy, max_later);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ParallelBk, EmissionSequenceMatchesSequentialAcrossThreadCounts) {
+  const graph::Graph g = module_graph(29);
+  const std::string path = write_temp_gsbg(g, 200);
+  {
+    const auto mapped = storage::MappedGraph::open(path);
+    const std::vector<graph::VertexId> expect = sequential_sequence(g);
+    ASSERT_FALSE(expect.empty());
+    // The CSR walks list the same neighbors in the same order, so the
+    // mapped view's search tree and sequence equal the in-memory ones.
+    ASSERT_EQ(sequential_sequence(mapped.view()), expect);
+    for (const bool on_disk : {false, true}) {
+      const graph::GraphView view =
+          on_disk ? mapped.view() : graph::GraphView(g);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE((on_disk ? "mapped, threads " : "in memory, threads ") +
+                     std::to_string(threads));
+        ParallelBkOptions options;
+        options.threads = threads;
+        options.deterministic = true;
+        EXPECT_EQ(emission_sequence(view, options), expect);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ParallelBk, OneWorkerRunsTheSequentialKernel) {
+  const graph::Graph g = module_graph(31);
+  std::vector<graph::VertexId> flat;
+  ParallelBkOptions options;
+  options.threads = 1;
+  const ParallelBkStats stats = parallel_bk(
+      g,
+      [&](std::span<const graph::VertexId> clique) {
+        flat.push_back(static_cast<graph::VertexId>(clique.size()));
+        flat.insert(flat.end(), clique.begin(), clique.end());
+      },
+      options);
+  EXPECT_EQ(flat, sequential_sequence(g));
+  CliqueCounter counter;
+  const BronKerboschStats sequential = degeneracy_bk(g, counter.callback());
+  EXPECT_EQ(stats.base.tree_nodes, sequential.tree_nodes);
+  EXPECT_EQ(stats.base.maximal_cliques, sequential.maximal_cliques);
+  EXPECT_EQ(stats.steals, 0u);
+  EXPECT_EQ(stats.transfers, 0u);
+  EXPECT_EQ(stats.peak_pending_bytes, 0u);
 }
 
 TEST(ParallelBk, DeterministicMergeEmitsIdenticalSequences) {

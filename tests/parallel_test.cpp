@@ -1,5 +1,5 @@
 // Tests for the parallel substrate (thread pool, centralized load
-// balancer) and the multithreaded Clique Enumerator.
+// balancer, chunked rounds) and the multithreaded Clique Enumerator.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "core/parallel_enumerator.h"
 #include "core/verify.h"
 #include "graph/transforms.h"
+#include "parallel/chunk_round.h"
 #include "parallel/load_balancer.h"
 #include "parallel/thread_pool.h"
 #include "storage/clique_stream.h"
@@ -181,6 +182,64 @@ TEST(LoadBalancer, EmptyTaskList) {
       par::LoadBalancer().assign(std::vector<std::uint64_t>{}, {}, 4);
   EXPECT_EQ(assignment.tasks.size(), 4u);
   for (const auto& tasks : assignment.tasks) EXPECT_TRUE(tasks.empty());
+}
+
+TEST(ChunkRound, PlanCoversEveryTaskOnceInOrder) {
+  util::Rng rng(5);
+  std::vector<std::uint64_t> costs(500);
+  std::uint64_t total = 0;
+  for (auto& c : costs) total += c = rng.below(1000) + 1;
+  const std::vector<par::Chunk> chunks = par::plan_chunks(
+      costs.size(), total, 4,
+      [&, i = std::size_t{0}]() mutable { return costs[i++]; });
+  ASSERT_FALSE(chunks.empty());
+  EXPECT_LE(chunks.size(), 4 * par::kChunksPerWorker + 1);
+  std::size_t next = 0;
+  for (const par::Chunk& chunk : chunks) {
+    EXPECT_EQ(chunk.first, next);
+    EXPECT_GT(chunk.count, 0u);
+    std::uint64_t cost = 0;
+    for (std::size_t i = 0; i < chunk.count; ++i) cost += costs[next + i];
+    EXPECT_EQ(chunk.cost, cost);
+    next += chunk.count;
+  }
+  EXPECT_EQ(next, costs.size());
+}
+
+TEST(ChunkRound, CompletionsRunOneAtATimeInEitherMode) {
+  std::vector<par::Chunk> chunks(40);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    chunks[c] = {c, 1, 1 + c % 7, static_cast<std::uint32_t>(c % 4)};
+  }
+  par::ThreadPool pool(4);
+  for (const bool ordered : {true, false}) {
+    SCOPED_TRACE(ordered ? "ordered" : "unordered");
+    par::RoundOptions options;
+    options.ordered = ordered;
+    options.window_bytes = ordered ? 64 : 0;
+    std::atomic<int> inside{0};
+    std::vector<std::size_t> completed;
+    const par::RoundStats round = par::run_round(
+        pool, options, par::LoadBalancer(), chunks,
+        [](std::size_t c, std::size_t) { return std::size_t{16 + c}; },
+        [&](std::size_t c) {
+          EXPECT_EQ(inside.fetch_add(1), 0);
+          completed.push_back(c);
+          inside.fetch_sub(1);
+        });
+    ASSERT_EQ(completed.size(), chunks.size());
+    if (ordered) {
+      for (std::size_t c = 0; c < completed.size(); ++c) {
+        EXPECT_EQ(completed[c], c);
+      }
+      EXPECT_GT(round.peak_pending_bytes, 0u);
+    } else {
+      std::sort(completed.begin(), completed.end());
+      EXPECT_EQ(std::adjacent_find(completed.begin(), completed.end()),
+                completed.end());
+    }
+    EXPECT_EQ(round.busy_seconds.size(), 4u);
+  }
 }
 
 TEST(ParallelEnumerator, MatchesSequentialOnModuleGraph) {

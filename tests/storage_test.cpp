@@ -2,6 +2,7 @@
 // rejection, and — the load-bearing guarantee — byte-identical clique /
 // paraclique results between the in-memory path and the memory-mapped path.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -225,6 +226,65 @@ TEST_F(GsbgReject, BitmapPaddingBitsRejectedOnPlainOpen) {
   dump(file_->path(), bytes);
   EXPECT_THROW(storage::MappedGraph::open(file_->path()),
                std::runtime_error);
+}
+
+/// Byte offset of the first section of \p kind in a .gsbg image.
+std::size_t section_offset(const std::vector<char>& bytes,
+                           storage::SectionKind kind) {
+  std::uint64_t section_count = 0;
+  std::memcpy(&section_count, bytes.data() + 40, 8);
+  for (std::uint64_t i = 0; i < section_count; ++i) {
+    const std::size_t base = storage::kHeaderBytes +
+                             static_cast<std::size_t>(i) *
+                                 storage::kSectionEntryBytes;
+    std::uint32_t entry_kind = 0;
+    std::uint64_t offset = 0;
+    std::memcpy(&entry_kind, bytes.data() + base, 4);
+    std::memcpy(&offset, bytes.data() + base + 8, 8);
+    if (static_cast<storage::SectionKind>(entry_kind) == kind) {
+      return static_cast<std::size_t>(offset);
+    }
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
+  return 0;
+}
+
+TEST_F(GsbgReject, CsrRowsMustBeAscendingIdsBelowN) {
+  // GraphView::for_each_neighbor walks CSR rows into vertex-indexed
+  // arrays, so a row out of order or naming a vertex >= n must be caught
+  // on a plain open, without the checksum pass.
+  const std::size_t offsets =
+      section_offset(bytes_, storage::SectionKind::kCsrOffsets);
+  const std::size_t targets =
+      section_offset(bytes_, storage::SectionKind::kCsrTargets);
+  std::uint64_t n = 0;
+  std::memcpy(&n, bytes_.data() + 16, 8);
+  std::uint64_t row = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  for (; row < n; ++row) {
+    std::memcpy(&begin, bytes_.data() + offsets + row * 8, 8);
+    std::memcpy(&end, bytes_.data() + offsets + (row + 1) * 8, 8);
+    if (end - begin >= 2) break;
+  }
+  ASSERT_LT(row, n) << "fixture needs a vertex of degree >= 2";
+  const std::size_t first = targets + static_cast<std::size_t>(begin) * 4;
+
+  auto swapped = bytes_;
+  std::swap_ranges(swapped.begin() + static_cast<std::ptrdiff_t>(first),
+                   swapped.begin() + static_cast<std::ptrdiff_t>(first + 4),
+                   swapped.begin() + static_cast<std::ptrdiff_t>(first + 4));
+  dump(file_->path(), swapped);
+  EXPECT_THROW(storage::MappedGraph::open(file_->path()), std::runtime_error);
+
+  auto out_of_range = bytes_;
+  const auto bogus = static_cast<std::uint32_t>(n);
+  std::memcpy(out_of_range.data() + first + 4, &bogus, 4);
+  dump(file_->path(), out_of_range);
+  EXPECT_THROW(storage::MappedGraph::open(file_->path()), std::runtime_error);
+
+  dump(file_->path(), bytes_);
+  EXPECT_NO_THROW(storage::MappedGraph::open(file_->path()));
 }
 
 TEST_F(GsbgReject, SectionOutOfBounds) {

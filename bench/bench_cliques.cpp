@@ -8,10 +8,13 @@
 //   * sequential degeneracy-ordered BK with max-candidate pivoting;
 //   * the same, directly off a memory-mapped .gsbg (storage-aware path);
 //   * the chunked parallel driver at 1/2/4/8 threads;
-//   * parallel BK spilling into a .gsbc clique stream (the bounded-memory
-//     output path `gsb cliques --clique-out` uses), from the in-memory
-//     graph and from the mapped .gsbg — the latter the shape of
-//     perfbench's dense-cliques workload.
+//   * parallel BK spilling into a .gsbc clique stream: from the in-memory
+//     graph through a per-clique GsbcWriter::append callback, and from
+//     the mapped .gsbg through storage::GsbcStage, the path `gsb cliques
+//     --clique-out` takes (records encoded on the workers, whole ranges
+//     spliced in order) — the shape of perfbench's dense-cliques
+//     workload.  Both report `drain_seconds`, the wall time of the
+//     ordered commits, so the serial share of the run is visible.
 //
 // Every variant reports cliques/s (items) on the same planted-module
 // graph — a dense overlapping-clique workload where pivot quality and
@@ -30,6 +33,7 @@
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "storage/clique_stream.h"
+#include "storage/gsbc_stage.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "util/rng.h"
@@ -138,20 +142,24 @@ void BM_ParallelBkToGsbcStream(benchmark::State& state) {
   gsb::core::ParallelBkOptions options;
   options.threads = static_cast<std::size_t>(state.range(0));
   std::uint64_t cliques = 0;
+  double drain_seconds = 0.0;
   for (auto _ : state) {
     gsb::storage::GsbcWriter writer(fixture().gsbc_path, g.order());
-    gsb::core::parallel_bk(
+    const auto stats = gsb::core::parallel_bk(
         g,
         [&writer](std::span<const gsb::graph::VertexId> clique) {
           writer.append(clique);
         },
         options);
+    drain_seconds += stats.drain_seconds;
     cliques = writer.clique_count();
     writer.close();
     benchmark::DoNotOptimize(cliques);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       cliques * static_cast<std::uint64_t>(state.iterations())));
+  state.counters["drain_seconds"] =
+      benchmark::Counter(drain_seconds, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ParallelBkToGsbcStream)
     ->Arg(4)
@@ -164,20 +172,19 @@ void BM_ParallelBkMappedStream(benchmark::State& state) {
   gsb::core::ParallelBkOptions options;
   options.threads = static_cast<std::size_t>(state.range(0));
   std::uint64_t cliques = 0;
+  double drain_seconds = 0.0;
   for (auto _ : state) {
     gsb::storage::GsbcWriter writer(fixture().gsbc_path, g.order());
-    gsb::core::parallel_bk(
-        g,
-        [&writer](std::span<const gsb::graph::VertexId> clique) {
-          writer.append(clique);
-        },
-        options);
+    gsb::storage::GsbcStage stage(writer, mapped.permutation());
+    drain_seconds += gsb::core::parallel_bk(g, stage, options).drain_seconds;
     cliques = writer.clique_count();
     writer.close();
     benchmark::DoNotOptimize(cliques);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(
       cliques * static_cast<std::uint64_t>(state.iterations())));
+  state.counters["drain_seconds"] =
+      benchmark::Counter(drain_seconds, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ParallelBkMappedStream)
     ->Arg(1)

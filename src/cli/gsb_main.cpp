@@ -74,6 +74,7 @@
 #include "service/result_cache.h"
 #include "service/server.h"
 #include "storage/clique_stream.h"
+#include "storage/gsbc_stage.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "util/cli.h"
@@ -268,27 +269,29 @@ std::size_t size_flag(const util::Cli& cli, const std::string& name,
 /// Runs the degeneracy-ordered Bron–Kerbosch engine (`--engine bk`):
 /// parallel_bk runs the sequential kernel at --threads 1 and chunked root
 /// ranges otherwise.  \p ordered selects the deterministic merge —
-/// callers whose sink is order-insensitive (pure counting) drain chunks
-/// as they finish.  Returns wall seconds; scheduling detail goes to
+/// callers whose output is order-insensitive (pure counting) commit
+/// chunks as they finish.  Scheduling detail and the drain time go to
 /// stderr when verbose.
-double run_bk_engine(const graph::GraphView& g, const core::SizeRange& range,
-                     std::size_t threads, const core::CliqueCallback& sink,
-                     bool ordered, bool verbose) {
-  util::Timer timer;
+core::ParallelBkStats run_bk_engine(const graph::GraphView& g,
+                                    const core::SizeRange& range,
+                                    std::size_t threads,
+                                    core::CliqueStage& stage, bool ordered,
+                                    bool verbose) {
   core::ParallelBkOptions options;
   options.range = range;
   options.threads = threads;
   options.deterministic = ordered;
-  const auto stats = core::parallel_bk(g, sink, options);
+  auto stats = core::parallel_bk(g, stage, options);
   if (verbose) {
     std::fprintf(stderr,
                  "bk: degeneracy %zu, %zu threads, %zu root chunks "
-                 "(%llu stolen), reorder peak %s\n",
+                 "(%llu stolen), reorder peak %s, drain %s\n",
                  stats.degeneracy, stats.threads, stats.chunks,
                  static_cast<unsigned long long>(stats.steals),
-                 util::format_bytes(stats.peak_pending_bytes).c_str());
+                 util::format_bytes(stats.peak_pending_bytes).c_str(),
+                 util::format_seconds(stats.drain_seconds).c_str());
   }
-  return timer.seconds();
+  return stats;
 }
 
 void warn_unqueried(const util::Cli& cli) {
@@ -633,18 +636,16 @@ int cmd_cliques(const util::Cli& cli) {
   }
   warn_unqueried(cli);
 
-  // Sink chain: always count; optionally spill to a .gsbc stream and/or
-  // print members.  --clique-out replaces stdout emission (the stream *is*
-  // the output), keeping memory bounded — nothing retains the cliques.
+  // Output: a .gsbc stream with --clique-out (the stream *is* the output,
+  // keeping memory bounded — nothing retains the cliques), else member
+  // lines unless --count-only; sizes are always counted for the table.
   std::optional<storage::GsbcWriter> writer;
   if (!clique_out.empty()) writer.emplace(clique_out, g.order());
   const bool print_members = !count_only && !writer;
   core::CliqueCounter counter;
-  auto counting = counter.callback();
   std::vector<graph::VertexId> members;
   const core::CliqueCallback sink =
       [&](std::span<const graph::VertexId> clique) {
-        counting(clique);
         if (!writer && !print_members) return;
         // Translate to original labels (the degree-sort permutation
         // scrambles ascending order; the stream writer canonicalizes it
@@ -664,12 +665,30 @@ int cmd_cliques(const util::Cli& cli) {
 
   double seconds = 0.0;
   if (engine == "bk") {
-    // Deterministic merge only when emission order is observable (clique
-    // lines or a .gsbc stream); pure counting skips the reorder buffer.
-    const bool ordered = writer.has_value() || print_members;
-    seconds = run_bk_engine(g, range, threads, sink, ordered, progress);
+    // The engine tallies sizes per root chunk.  With --clique-out its
+    // workers also encode the records in original labels, so the ordered
+    // drain only splices bytes.  Otherwise the deterministic merge runs
+    // only when emission order is observable (clique lines).
+    core::ParallelBkStats stats;
+    if (writer) {
+      storage::GsbcStage stage(*writer, input.mapped.permutation());
+      stats = run_bk_engine(g, range, threads, stage, true, progress);
+    } else {
+      core::CallbackStage stage(sink);
+      stats = run_bk_engine(g, range, threads, stage, print_members,
+                            progress);
+    }
+    counter.add(stats.by_size);
+    seconds = stats.total_seconds;
   } else {
-    seconds = core::enumerate_maximal_cliques_threads(g, sink, range, threads)
+    auto counting = counter.callback();
+    seconds = core::enumerate_maximal_cliques_threads(
+                  g,
+                  [&](std::span<const graph::VertexId> clique) {
+                    counting(clique);
+                    sink(clique);
+                  },
+                  range, threads)
                   .total_seconds;
   }
   std::fprintf(stderr, "%llu maximal cliques in %s (engine %s)\n",

@@ -56,6 +56,15 @@ class CliqueCounter {
     };
   }
 
+  /// Adds a tally counted elsewhere: \p by_size[k] cliques of k members.
+  void add(std::span<const std::uint64_t> by_size) {
+    for (std::size_t k = 0; k < by_size.size(); ++k) {
+      if (by_size[k] == 0) continue;
+      total_ += by_size[k];
+      by_size_[k] += by_size[k];
+    }
+  }
+
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] const std::map<std::size_t, std::uint64_t>& by_size()
       const noexcept {

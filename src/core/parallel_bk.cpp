@@ -1,6 +1,7 @@
 #include "core/parallel_bk.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include "core/detail/bk_kernel.h"
@@ -17,40 +18,50 @@ using graph::VertexId;
 
 /// Per-worker search state, built lazily on a worker's first chunk.  The
 /// sink object must outlive the search (BkPivotSearch keeps a reference),
-/// so both live here together; the sink appends size-prefixed records to
-/// whichever chunk's buffer the worker is filling.
+/// so both live here together; the sink stages each clique into whichever
+/// chunk the worker is filling and tallies its size.
 struct BkWorker {
-  std::vector<VertexId>* out = nullptr;
+  StagedCliques* out = nullptr;
   CliqueCallback local_sink;
   std::unique_ptr<detail::BkPivotSearch> search;
 
-  BkWorker(const graph::GraphView& g, const SizeRange& range,
-           std::size_t degeneracy) {
-    local_sink = [this](std::span<const VertexId> clique) {
-      out->push_back(static_cast<VertexId>(clique.size()));
-      out->insert(out->end(), clique.begin(), clique.end());
+  BkWorker(const graph::GraphView& g, const CliqueStage& stage,
+           const SizeRange& range, std::size_t degeneracy) {
+    local_sink = [this, &stage](std::span<const VertexId> clique) {
+      stage.stage(clique, out->bytes);
+      std::vector<std::uint64_t>& by_size = out->by_size;
+      if (clique.size() >= by_size.size()) by_size.resize(clique.size() + 1);
+      ++by_size[clique.size()];
     };
     search = std::make_unique<detail::BkPivotSearch>(g, local_sink, range,
                                                      degeneracy);
   }
 };
 
-/// One chunk's cliques, flat and size-prefixed, parked until its
-/// completion drains them; the bytes are tracked (MemTag::kCliqueStorage)
-/// for exactly that span.
+/// One chunk's staged cliques, parked until its commit; the bytes are
+/// tracked (MemTag::kCliqueStorage) from the end of staging to the end of
+/// the commit.
 struct ChunkOutput {
-  std::vector<VertexId> flat;
+  StagedCliques staged;
   std::size_t bytes = 0;
 };
 
-/// Replays a chunk's flat buffer into the caller's sink.
-void drain_flat(const CliqueCallback& sink, const std::vector<VertexId>& flat) {
-  std::size_t i = 0;
-  while (i < flat.size()) {
-    const std::size_t size = flat[i++];
-    sink(std::span<const VertexId>(&flat[i], size));
-    i += size;
+/// Commits one staged chunk, timing it into drain_seconds and merging its
+/// tallies into by_size, then releases its tracked bytes.
+void commit_chunk(CliqueStage& stage, ChunkOutput& out,
+                  ParallelBkStats& stats, util::MemoryTracker& tracker) {
+  util::Timer timer;
+  stage.commit(out.staged);
+  stats.drain_seconds += timer.seconds();
+  const std::vector<std::uint64_t>& by_size = out.staged.by_size;
+  if (by_size.size() > stats.by_size.size()) {
+    stats.by_size.resize(by_size.size());
   }
+  for (std::size_t k = 0; k < by_size.size(); ++k) {
+    stats.by_size[k] += by_size[k];
+  }
+  tracker.release(out.bytes, util::MemTag::kCliqueStorage);
+  out.bytes = 0;
 }
 
 void publish_metrics(const ParallelBkStats& stats) {
@@ -71,8 +82,38 @@ void publish_metrics(const ParallelBkStats& stats) {
 
 }  // namespace
 
+void CallbackStage::stage(std::span<const VertexId> clique,
+                          std::vector<unsigned char>& out) const {
+  const auto size = static_cast<VertexId>(clique.size());
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(size) + clique.size_bytes());
+  std::memcpy(out.data() + at, &size, sizeof(size));
+  std::memcpy(out.data() + at + sizeof(size), clique.data(),
+              clique.size_bytes());
+}
+
+void CallbackStage::commit(const StagedCliques& staged) {
+  const unsigned char* p = staged.bytes.data();
+  const unsigned char* const end = p + staged.bytes.size();
+  while (p != end) {
+    VertexId size = 0;
+    std::memcpy(&size, p, sizeof(size));
+    p += sizeof(size);
+    clique_.resize(size);
+    std::memcpy(clique_.data(), p, size * sizeof(VertexId));
+    p += size * sizeof(VertexId);
+    sink_(clique_);
+  }
+}
+
 ParallelBkStats parallel_bk(const graph::GraphView& g,
                             const CliqueCallback& sink,
+                            const ParallelBkOptions& options) {
+  CallbackStage stage(sink);
+  return parallel_bk(g, stage, options);
+}
+
+ParallelBkStats parallel_bk(const graph::GraphView& g, CliqueStage& stage,
                             const ParallelBkOptions& options) {
   util::Timer total_timer;
   ParallelBkStats stats;
@@ -95,12 +136,31 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
   std::vector<std::size_t> pos(n);
   for (std::size_t i = 0; i < n; ++i) pos[deg.order[i]] = i;
 
-  // One worker: the sequential kernel straight into the caller's sink.
+  // One worker: the sequential kernel over the whole order, committing
+  // whenever enough is staged.
   if (num_threads == 1) {
     const double cpu_begin = util::thread_cpu_seconds();
-    detail::BkPivotSearch search(g, sink, options.range, deg.degeneracy);
-    for (const VertexId v : deg.order) search.run_root(v, pos);
-    stats.base = search.stats();
+    BkWorker worker(g, stage, options.range, deg.degeneracy);
+    ChunkOutput out;
+    worker.out = &out.staged;
+    const auto commit = [&] {
+      out.bytes = out.staged.bytes.size();
+      tracker.allocate(out.bytes, util::MemTag::kCliqueStorage);
+      commit_chunk(stage, out, stats, tracker);
+      out.staged.bytes.clear();
+      out.staged.by_size.clear();
+    };
+    try {
+      for (const VertexId v : deg.order) {
+        worker.search->run_root(v, pos);
+        if (out.staged.bytes.size() >= kOneWorkerCommitBytes) commit();
+      }
+      commit();
+    } catch (...) {
+      tracker.release(out.bytes, util::MemTag::kCliqueStorage);
+      throw;
+    }
+    stats.base = worker.search->stats();
     stats.chunks = 1;
     stats.thread_busy_seconds[0] = util::thread_cpu_seconds() - cpu_begin;
     stats.total_seconds = total_timer.seconds();
@@ -130,9 +190,10 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
   stats.chunks = chunks.size();
 
   // --- run: one ordered round, one job per chunk ----------------------------
-  // Chunk c's completion drains its buffer in chunk order, which is root
-  // order, so the sink sees degeneracy_bk's exact sequence; the reorder
-  // window holds finished-but-undrained chunks to `reorder_window_bytes`.
+  // Chunk c's completion commits its staged records in chunk order, which
+  // is root order, so the stage sees degeneracy_bk's exact sequence; the
+  // reorder window holds staged-but-uncommitted chunks to
+  // `reorder_window_bytes`.
   par::ThreadPool pool(num_threads);
   par::RoundOptions round_options;
   round_options.ordered = options.deterministic;
@@ -148,30 +209,28 @@ ParallelBkStats parallel_bk(const graph::GraphView& g,
         pool, round_options, balancer, chunks,
         [&](std::size_t c, std::size_t wid) {
           if (!workers[wid]) {
-            workers[wid] =
-                std::make_unique<BkWorker>(g, options.range, deg.degeneracy);
+            workers[wid] = std::make_unique<BkWorker>(g, stage, options.range,
+                                                      deg.degeneracy);
           }
           BkWorker& w = *workers[wid];
           ChunkOutput& out = outputs[c];
-          w.out = &out.flat;
+          w.out = &out.staged;
           const par::Chunk& chunk = chunks[c];
           for (std::size_t i = chunk.first; i < chunk.first + chunk.count;
                ++i) {
             w.search->run_root(deg.order[i], pos);
           }
-          out.bytes = out.flat.size() * sizeof(VertexId);
+          out.bytes = out.staged.bytes.size();
           tracker.allocate(out.bytes, util::MemTag::kCliqueStorage);
           return out.bytes;
         },
         [&](std::size_t c) {
-          ChunkOutput& out = outputs[c];
-          drain_flat(sink, out.flat);
-          tracker.release(out.bytes, util::MemTag::kCliqueStorage);
-          out = ChunkOutput{};
+          commit_chunk(stage, outputs[c], stats, tracker);
+          outputs[c] = ChunkOutput{};
         });
   } catch (...) {
-    // A throwing sink cancels the run mid-drain; release the accounting
-    // of whatever never drained before propagating.
+    // A throwing stage or commit cancels the run; release the accounting
+    // of whatever never committed before propagating.
     for (const ChunkOutput& out : outputs) {
       tracker.release(out.bytes, util::MemTag::kCliqueStorage);
     }

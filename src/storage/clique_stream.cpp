@@ -10,6 +10,8 @@ namespace gsb::storage {
 namespace {
 
 constexpr std::size_t kIoBuffer = 1 << 16;  ///< 64 KiB writer/reader chunks
+constexpr std::size_t kMaxVarintBytes = 10;  ///< LEB128 of a 64-bit value
+constexpr std::size_t kMaxIdVarintBytes = 5;  ///< LEB128 of a 32-bit id
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("gsbc: " + what);
@@ -28,16 +30,23 @@ void serialize_header(char (&buffer)[kGsbcHeaderBytes],
   std::memcpy(buffer + 48, &header.checksum, 8);
 }
 
+/// Writes the LEB128 encoding of \p value at \p p; returns the byte past it.
+unsigned char* put_leb128(unsigned char* p, std::uint64_t value) {
+  while (value >= 0x80) {
+    *p++ = static_cast<unsigned char>(value) | 0x80u;
+    value >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(value);
+  return p;
+}
+
 }  // namespace
 
 // --- LEB128 varints ---------------------------------------------------------
 
 void append_leb128(std::vector<unsigned char>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<unsigned char>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<unsigned char>(value));
+  unsigned char bytes[kMaxVarintBytes];
+  out.insert(out.end(), bytes, put_leb128(bytes, value));
 }
 
 std::uint64_t decode_leb128(std::span<const unsigned char> bytes,
@@ -55,10 +64,58 @@ std::uint64_t decode_leb128(std::span<const unsigned char> bytes,
   }
 }
 
+// --- record encoder ---------------------------------------------------------
+
+void GsbcRecordEncoder::encode(std::span<const graph::VertexId> clique,
+                               std::vector<unsigned char>& out) const {
+  const std::size_t size = clique.size();
+  if (size == 0) fail("empty clique");
+  // Cliques of up to kInline members sort on the stack; larger ones
+  // allocate.
+  constexpr std::size_t kInline = 64;
+  graph::VertexId inline_ids[kInline];
+  std::vector<graph::VertexId> heap_ids;
+  graph::VertexId* ids = inline_ids;
+  if (size > kInline) {
+    heap_ids.resize(size);
+    ids = heap_ids.data();
+  }
+  if (relabel_.empty()) {
+    std::copy(clique.begin(), clique.end(), ids);
+  } else {
+    for (std::size_t i = 0; i < size; ++i) {
+      if (clique[i] >= relabel_.size()) {
+        fail("member id outside the relabel table");
+      }
+      ids[i] = relabel_[clique[i]];
+    }
+  }
+  std::sort(ids, ids + size);
+  // Validate fully before emitting a single byte: a rejected clique must
+  // leave the output exactly as it was (a caller may catch and continue).
+  if (ids[size - 1] >= order_) {
+    fail("member id out of range for the declared vertex universe");
+  }
+  for (std::size_t i = 1; i < size; ++i) {
+    if (ids[i] == ids[i - 1]) fail("duplicate member in clique");
+  }
+  const std::size_t start = out.size();
+  out.resize(start + kMaxVarintBytes + kMaxIdVarintBytes * size);
+  unsigned char* p = out.data() + start;
+  p = put_leb128(p, size);
+  p = put_leb128(p, ids[0]);
+  for (std::size_t i = 1; i < size; ++i) {
+    p = put_leb128(p, ids[i] - ids[i - 1]);
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
 // --- writer -----------------------------------------------------------------
 
 GsbcWriter::GsbcWriter(const std::string& path, std::size_t order)
-    : path_(path), out_(std::make_unique<util::io::FileWriter>(path)) {
+    : path_(path),
+      out_(std::make_unique<util::io::FileWriter>(path)),
+      encoder_(order) {
   header_.n = order;
   char raw[kGsbcHeaderBytes];
   serialize_header(raw, header_);  // placeholder; patched in close()
@@ -71,8 +128,8 @@ GsbcWriter::GsbcWriter(const std::string& path, std::size_t order)
 // the destination path is untouched.
 GsbcWriter::~GsbcWriter() = default;
 
-void GsbcWriter::put_varint(std::uint64_t value) {
-  append_leb128(buffer_, value);
+void GsbcWriter::flush_if_full() {
+  if (buffer_.size() >= kIoBuffer) flush_buffer();
 }
 
 void GsbcWriter::flush_buffer() {
@@ -85,27 +142,25 @@ void GsbcWriter::flush_buffer() {
 
 void GsbcWriter::append(std::span<const graph::VertexId> clique) {
   if (!open_) fail("append on a closed writer");
-  if (clique.empty()) fail("empty clique");
-  scratch_.assign(clique.begin(), clique.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  // Validate fully before emitting a single byte: a rejected clique must
-  // leave the stream exactly as it was (a caller may catch and continue).
-  if (scratch_.back() >= header_.n) {
-    fail("member id out of range for the declared vertex universe");
-  }
-  for (std::size_t i = 1; i < scratch_.size(); ++i) {
-    if (scratch_[i] == scratch_[i - 1]) fail("duplicate member in clique");
-  }
-  put_varint(scratch_.size());
-  put_varint(scratch_.front());
-  for (std::size_t i = 1; i < scratch_.size(); ++i) {
-    put_varint(scratch_[i] - scratch_[i - 1]);
-  }
+  encoder_.encode(clique, buffer_);
   ++header_.clique_count;
-  header_.member_total += scratch_.size();
-  header_.max_size = std::max<std::uint64_t>(header_.max_size,
-                                             scratch_.size());
-  if (buffer_.size() >= kIoBuffer) flush_buffer();
+  header_.member_total += clique.size();
+  header_.max_size = std::max<std::uint64_t>(header_.max_size, clique.size());
+  flush_if_full();
+}
+
+void GsbcWriter::append_encoded(std::span<const unsigned char> records,
+                                std::span<const std::uint64_t> by_size) {
+  if (!open_) fail("append on a closed writer");
+  if (!by_size.empty() && by_size[0] != 0) fail("empty clique");
+  for (std::size_t size = 1; size < by_size.size(); ++size) {
+    if (by_size[size] == 0) continue;
+    header_.clique_count += by_size[size];
+    header_.member_total += size * by_size[size];
+    header_.max_size = std::max<std::uint64_t>(header_.max_size, size);
+  }
+  buffer_.insert(buffer_.end(), records.begin(), records.end());
+  flush_if_full();
 }
 
 GsbcWriteStats GsbcWriter::close() {

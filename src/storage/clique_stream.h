@@ -6,10 +6,17 @@
 /// container (byte layout in gsbc_format.h / docs/FORMATS.md).
 ///
 /// The writer is an append-only sink: one buffered pass, O(largest clique)
-/// memory, header (counts + checksum) patched on close.  It accepts
-/// cliques in any member order and canonicalizes to ascending ids before
-/// delta coding, so it can sit directly behind any enumerator's
-/// CliqueCallback.  The reader is a strict forward scan returning one
+/// memory, header (counts + checksum) patched on close.  Records come from
+/// one encoder, GsbcRecordEncoder, which accepts cliques in any member
+/// order, optionally relabels them, and canonicalizes to ascending ids
+/// before delta coding.  The writer runs it per clique in append(), so it
+/// can sit directly behind any enumerator's CliqueCallback.  The encoder is
+/// const and shares no state, so parallel BK's workers also run it, each
+/// into its own root range's buffer (storage/gsbc_stage.h).  The writer
+/// then splices each encoded range with append_encoded(), which only
+/// moves bytes and adds the range's size tallies to the header.  The
+/// writer itself is never called concurrently.  The reader is a strict
+/// forward scan returning one
 /// clique at a time — `analysis::clique_spectrum`, participation counting
 /// and paraclique seeding all consume it in O(1) clique memory, which is
 /// the whole point: the clique set never has to exist in RAM at once.
@@ -44,6 +51,30 @@ void append_leb128(std::vector<unsigned char>& out, std::uint64_t value);
 std::uint64_t decode_leb128(std::span<const unsigned char> bytes,
                             std::size_t& pos);
 
+/// Encodes cliques as `.gsbc` records: maps each member through an
+/// optional relabel table, sorts ascending, validates, and appends the
+/// size, first-member and delta varints.  Holds no mutable state, so any
+/// number of threads may encode at once, each into its own buffer.
+class GsbcRecordEncoder {
+ public:
+  /// \p order is the stream's vertex universe.  \p relabel, when not
+  /// empty, maps each id passed to encode() to the id written; it must
+  /// outlive the encoder.
+  explicit GsbcRecordEncoder(std::size_t order,
+                             std::span<const graph::VertexId> relabel = {})
+      : order_(order), relabel_(relabel) {}
+
+  /// Appends \p clique's record to \p out.  Throws std::runtime_error
+  /// ("gsbc: ...") on an empty clique, an id outside the relabel table, a
+  /// written id >= order or a duplicate member, leaving \p out unchanged.
+  void encode(std::span<const graph::VertexId> clique,
+              std::vector<unsigned char>& out) const;
+
+ private:
+  std::size_t order_;
+  std::span<const graph::VertexId> relabel_;
+};
+
 /// Totals reported by GsbcWriter::close().
 struct GsbcWriteStats {
   std::uint64_t clique_count = 0;
@@ -71,6 +102,14 @@ class GsbcWriter {
   /// rejected, as is an id >= order or an empty clique).
   void append(std::span<const graph::VertexId> clique);
 
+  /// Appends a batch of records that a GsbcRecordEncoder of this
+  /// writer's order() wrote, back to back, and adds its tallies to the
+  /// header: \p by_size[k] counts the batch's records of k members.  The
+  /// bytes are spliced as they are, so a batch from any other source
+  /// makes a stream the reader rejects.
+  void append_encoded(std::span<const unsigned char> records,
+                      std::span<const std::uint64_t> by_size);
+
   /// Flushes, patches the header with counts and checksum, fsyncs, and
   /// atomically renames the temp file into place.
   GsbcWriteStats close();
@@ -78,17 +117,18 @@ class GsbcWriter {
   [[nodiscard]] std::uint64_t clique_count() const noexcept {
     return header_.clique_count;
   }
+  [[nodiscard]] std::size_t order() const noexcept { return header_.n; }
 
  private:
-  void put_varint(std::uint64_t value);
+  void flush_if_full();
   void flush_buffer();
 
   std::string path_;
   std::unique_ptr<util::io::FileWriter> out_;
   GsbcHeader header_;
+  GsbcRecordEncoder encoder_;
   Fnv1a sum_;
   std::vector<unsigned char> buffer_;
-  std::vector<graph::VertexId> scratch_;  ///< sort buffer, one clique
   std::uint64_t payload_bytes_ = 0;
   bool open_ = false;
 };

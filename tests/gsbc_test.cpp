@@ -1,12 +1,16 @@
 // Tests for the .gsbc clique-stream container: write -> read round trips,
-// header totals, corruption rejection, and the streaming analysis
-// consumers (spectrum, participation, paraclique seeding).
+// header totals, corruption rejection, the streaming analysis consumers
+// (spectrum, participation, paraclique seeding), the record encoder that
+// per-clique appends and encoded batches share, and parallel BK through
+// the worker-side encoding stage.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,7 +19,11 @@
 #include "analysis/paraclique.h"
 #include "core/bron_kerbosch.h"
 #include "core/parallel_bk.h"
+#include "graph/generators.h"
 #include "storage/clique_stream.h"
+#include "storage/gsbc_stage.h"
+#include "storage/gsbg_writer.h"
+#include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
 #include "util/rng.h"
 
@@ -55,6 +63,38 @@ std::vector<Clique> read_all(GsbcReader& reader) {
   Clique clique;
   while (reader.next(clique)) out.push_back(clique);
   return out;
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Cliques of 1..64 distinct members in draw order (unsorted), over the
+/// full 32-bit universe: ids are drawn small, anywhere, or within 2^16 of
+/// 2^32 - 1, so 5-byte varints appear as first members and as deltas.
+std::vector<Clique> scrambled_clique_set(std::size_t count,
+                                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Clique> cliques{{0xFFFFFFFFu}, {0xFFFFFFFFu, 0}};
+  while (cliques.size() < count) {
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    Clique clique;
+    while (clique.size() < size) {
+      std::uint64_t id = 0;
+      switch (rng.below(3)) {
+        case 0: id = rng.below(1u << 12); break;
+        case 1: id = rng.below(1ull << 32); break;
+        default: id = (1ull << 32) - 1 - rng.below(1u << 16); break;
+      }
+      const auto v = static_cast<graph::VertexId>(id);
+      if (std::find(clique.begin(), clique.end(), v) == clique.end()) {
+        clique.push_back(v);
+      }
+    }
+    cliques.push_back(std::move(clique));
+  }
+  return cliques;
 }
 
 TEST(GsbcStream, RoundTripsSeededCliqueSets) {
@@ -132,6 +172,93 @@ TEST(GsbcStream, WriterRejectsMalformedCliques) {
   writer.append(std::vector<graph::VertexId>{0, 9});
   writer.close();
   std::remove(path.c_str());
+}
+
+TEST(GsbcEncoder, RejectsMalformedCliquesLeavingOutputUnchanged) {
+  const std::vector<graph::VertexId> relabel{3, 1, 4, 1, 5};
+  const GsbcRecordEncoder plain(5);
+  const GsbcRecordEncoder mapped(6, relabel);
+  const GsbcRecordEncoder mapped_past_order(5, relabel);
+  std::vector<unsigned char> out{0xAB};
+  const auto rejects = [&](const GsbcRecordEncoder& encoder,
+                           std::vector<graph::VertexId> clique) {
+    try {
+      encoder.encode(clique, out);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).rfind("gsbc: ", 0) == 0;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects(plain, {}));
+  EXPECT_TRUE(rejects(plain, {2, 0, 2}));
+  EXPECT_TRUE(rejects(plain, {1, 5}));
+  EXPECT_TRUE(rejects(mapped, {1, 3}));            // both relabel to 1
+  EXPECT_TRUE(rejects(mapped, {5}));               // outside the table
+  EXPECT_TRUE(rejects(mapped_past_order, {4, 0}));  // 5 >= order 5
+  EXPECT_EQ(out, std::vector<unsigned char>{0xAB});
+  mapped.encode(std::vector<graph::VertexId>{4, 0}, out);  // -> {3, 5}
+  EXPECT_EQ(out, (std::vector<unsigned char>{0xAB, 2, 3, 2}));
+}
+
+TEST(GsbcEncoder, BatchesMatchPerCliqueAppendsByteForByte) {
+  constexpr std::uint64_t kOrder = 1ull << 32;
+  const auto cliques = scrambled_clique_set(6000, 77);
+  const std::string single_path = temp_path("gsbc_single.gsbc");
+  const std::string batch_path = temp_path("gsbc_batch.gsbc");
+  GsbcWriteStats single_stats;
+  {
+    GsbcWriter writer(single_path, kOrder);
+    for (const auto& clique : cliques) writer.append(clique);
+    single_stats = writer.close();
+  }
+  // Batches of 1-50 cliques and of 1000-3000 (each well past the 64 KiB
+  // flush buffer), so splices land on both sides of every flush.
+  util::Rng rng(78);
+  const GsbcRecordEncoder encoder(kOrder);
+  std::size_t largest_batch = 0;
+  GsbcWriteStats batch_stats;
+  {
+    GsbcWriter writer(batch_path, kOrder);
+    std::size_t next = 0;
+    while (next < cliques.size()) {
+      const auto want = static_cast<std::size_t>(
+          rng.below(4) == 0 ? rng.uniform_int(1000, 3000)
+                            : rng.uniform_int(1, 50));
+      const std::size_t end = std::min(cliques.size(), next + want);
+      std::vector<unsigned char> bytes;
+      std::vector<std::uint64_t> by_size;
+      for (; next < end; ++next) {
+        encoder.encode(cliques[next], bytes);
+        by_size.resize(std::max(by_size.size(), cliques[next].size() + 1));
+        ++by_size[cliques[next].size()];
+      }
+      largest_batch = std::max(largest_batch, bytes.size());
+      writer.append_encoded(bytes, by_size);
+    }
+    batch_stats = writer.close();
+  }
+  EXPECT_GT(largest_batch, 64u << 10);
+  EXPECT_EQ(batch_stats.clique_count, single_stats.clique_count);
+  EXPECT_EQ(batch_stats.member_total, single_stats.member_total);
+  EXPECT_EQ(batch_stats.max_size, single_stats.max_size);
+  EXPECT_EQ(batch_stats.file_bytes, single_stats.file_bytes);
+  EXPECT_EQ(single_stats.max_size, 64u);
+  EXPECT_EQ(file_bytes(batch_path), file_bytes(single_path));
+
+  GsbcReader::Options verify;
+  verify.verify_checksum = true;
+  auto reader = GsbcReader::open(batch_path, verify);
+  EXPECT_EQ(reader.order(), kOrder);
+  EXPECT_EQ(reader.clique_count(), cliques.size());
+  const auto read = read_all(reader);
+  ASSERT_EQ(read.size(), cliques.size());
+  for (std::size_t i = 0; i < cliques.size(); ++i) {
+    Clique sorted = cliques[i];
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(read[i], sorted) << "clique " << i;
+  }
+  std::remove(single_path.c_str());
+  std::remove(batch_path.c_str());
 }
 
 TEST(GsbcStream, RejectsCorruption) {
@@ -471,6 +598,81 @@ TEST(GsbcStream, ParallelBkSpillsAndRoundTrips) {
   auto reader = GsbcReader::open(path, verify);
   EXPECT_EQ(core::normalize(read_all(reader)), expect);
   std::remove(path.c_str());
+}
+
+TEST(GsbcStage, DegreeSortedStreamsCarryOriginalLabels) {
+  util::Rng rng(41);
+  graph::ModuleGraphConfig config;
+  config.n = 500;
+  config.num_modules = 50;
+  config.max_module_size = 16;
+  config.overlap = 0.3;
+  config.background_edges = 700;
+  const graph::Graph g = graph::planted_modules(config, rng).graph;
+  core::CliqueCollector collector;
+  core::degeneracy_bk(g, collector.callback());
+  const auto expect = core::normalize(std::move(collector.cliques()));
+
+  const std::string plain_path = temp_path("gsbc_stage_plain.gsbg");
+  const std::string sorted_path = temp_path("gsbc_stage_sorted.gsbg");
+  write_gsbg_file(g, plain_path);
+  GsbgWriteOptions sort_options;
+  sort_options.degree_sort = true;
+  write_gsbg_file(g, sorted_path, sort_options);
+  const std::string out_path = temp_path("gsbc_stage_out.gsbc");
+  {
+    const auto plain = MappedGraph::open(plain_path);
+    const auto sorted = MappedGraph::open(sorted_path);
+    ASSERT_FALSE(sorted.permutation().empty());
+
+    // The unsorted file through the stage, no relabel table.
+    {
+      GsbcWriter writer(out_path, plain.order());
+      GsbcStage stage(writer, plain.permutation());
+      core::ParallelBkOptions options;
+      options.threads = 4;
+      core::parallel_bk(plain.view(), stage, options);
+      writer.close();
+    }
+    auto plain_reader = GsbcReader::open(out_path);
+    EXPECT_EQ(core::normalize(read_all(plain_reader)), expect);
+
+    // Reference: the sorted file's cliques relabelled and appended one by
+    // one, in the sequential emission order.
+    {
+      GsbcWriter writer(out_path, sorted.order());
+      std::vector<graph::VertexId> members;
+      core::degeneracy_bk(
+          sorted.view(), [&](std::span<const graph::VertexId> clique) {
+            members.clear();
+            for (const auto v : clique) {
+              members.push_back(sorted.permutation()[v]);
+            }
+            writer.append(members);
+          });
+      writer.close();
+    }
+    const auto reference = file_bytes(out_path);
+    for (const std::size_t threads : {1u, 3u, 4u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      {
+        GsbcWriter writer(out_path, sorted.order());
+        GsbcStage stage(writer, sorted.permutation());
+        core::ParallelBkOptions options;
+        options.threads = threads;
+        core::parallel_bk(sorted.view(), stage, options);
+        writer.close();
+      }
+      EXPECT_EQ(file_bytes(out_path), reference);
+      GsbcReader::Options verify;
+      verify.verify_checksum = true;
+      auto reader = GsbcReader::open(out_path, verify);
+      EXPECT_EQ(core::normalize(read_all(reader)), expect);
+    }
+  }
+  std::remove(out_path.c_str());
+  std::remove(plain_path.c_str());
+  std::remove(sorted_path.c_str());
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // identical to the sequential sequence at every thread count, mapped or
 // in memory; the reorder window stays bounded; the search tree and
 // emission sequence match constants recorded from the global-width search
-// on roots whose neighborhoods straddle word boundaries.
+// on roots whose neighborhoods straddle word boundaries; a clique the
+// .gsbc stage rejects on a worker cancels the run with the writer's error
+// and publishes nothing.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "core/parallel_bk.h"
 #include "core/verify.h"
 #include "graph/transforms.h"
+#include "storage/gsbc_stage.h"
 #include "storage/gsbg_writer.h"
 #include "storage/mapped_graph.h"
 #include "tests/test_helpers.h"
@@ -273,6 +276,37 @@ TEST(ParallelBk, OneWorkerRunsTheSequentialKernel) {
   EXPECT_EQ(stats.peak_pending_bytes, 0u);
 }
 
+TEST(ParallelBk, CommitsCarryEveryCliqueTallyAndDrainTime) {
+  // Output several times kOneWorkerCommitBytes, so one worker commits in
+  // several slices as well as four workers in many chunks.
+  const graph::Graph g = test::random_graph(100, 0.5, 23);
+  const std::vector<graph::VertexId> expect = sequential_sequence(g);
+  ASSERT_GT(expect.size() * sizeof(graph::VertexId),
+            3 * kOneWorkerCommitBytes);
+  CliqueCounter sizes;
+  degeneracy_bk(g, sizes.callback());
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<graph::VertexId> flat;
+    ParallelBkOptions options;
+    options.threads = threads;
+    const ParallelBkStats stats = parallel_bk(
+        g,
+        [&](std::span<const graph::VertexId> clique) {
+          flat.push_back(static_cast<graph::VertexId>(clique.size()));
+          flat.insert(flat.end(), clique.begin(), clique.end());
+        },
+        options);
+    EXPECT_EQ(flat, expect);
+    CliqueCounter tallied;
+    tallied.add(stats.by_size);
+    EXPECT_EQ(tallied.by_size(), sizes.by_size());
+    EXPECT_EQ(tallied.total(), stats.base.maximal_cliques);
+    EXPECT_GT(stats.drain_seconds, 0.0);
+    EXPECT_LE(stats.drain_seconds, stats.total_seconds);
+  }
+}
+
 TEST(ParallelBk, DeterministicMergeEmitsIdenticalSequences) {
   const graph::Graph g = test::random_graph(60, 0.3, 11);
   // The reference sequence: sequential degeneracy BK.
@@ -371,6 +405,52 @@ TEST(ParallelBk, TinyReorderWindowThrottlesAndStaysCorrect) {
   // Backpressure holds pending output to the window plus the outputs of
   // roots already in flight when the cap was hit — far under the total.
   EXPECT_LT(stats.peak_pending_bytes, total_flat_bytes / 4);
+}
+
+TEST(ParallelBk, StageRejectionCancelsTheRunAndPublishesNothing) {
+  const graph::Graph g = module_graph(37);
+  const auto n = static_cast<graph::VertexId>(g.order());
+  std::vector<graph::VertexId> identity(n);
+  for (graph::VertexId v = 0; v < n; ++v) identity[v] = v;
+  // Every vertex lies in some maximal clique, so each bad table is hit.
+  std::vector<graph::VertexId> out_of_range = identity;
+  out_of_range[n / 2] = n;
+  std::vector<graph::VertexId> duplicate = identity;
+  const graph::VertexId u = g.neighbor_list(0).front();
+  duplicate[u] = duplicate[0];
+  const std::vector<graph::VertexId> too_short(identity.begin(),
+                                               identity.end() - 1);
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("parallel_bk_test_" + std::to_string(::getpid()) + "_reject.gsbc"))
+          .string();
+  const std::pair<const char*, const std::vector<graph::VertexId>*>
+      tables[] = {{"out of range", &out_of_range},
+                  {"duplicate", &duplicate},
+                  {"too short", &too_short}};
+  for (const auto& [name, table] : tables) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(name) + ", threads " +
+                   std::to_string(threads));
+      util::MemoryTracker tracker;
+      ParallelBkOptions options;
+      options.threads = threads;
+      options.tracker = &tracker;
+      std::string error;
+      try {
+        storage::GsbcWriter writer(path, g.order());
+        storage::GsbcStage stage(writer, *table);
+        parallel_bk(g, stage, options);
+        writer.close();
+      } catch (const std::runtime_error& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error.rfind("gsbc: ", 0), 0u) << error;
+      EXPECT_EQ(tracker.current(util::MemTag::kCliqueStorage), 0u);
+      EXPECT_FALSE(fs::exists(path));
+      EXPECT_FALSE(fs::exists(path + ".tmp." + std::to_string(::getpid())));
+    }
+  }
 }
 
 // -- search-tree pin ---------------------------------------------------------
